@@ -571,8 +571,8 @@ struct EarApspEngine::Impl {
   }
 
   // The classification half of routed_distance, with the same node/AP
-  // derivation but no distance evaluation: everything the serving layer
-  // needs to batch the block legs and recompose the answer bit-identically.
+  // derivation but no distance evaluation. Its legs compose as
+  // leg_u + ap_distance(ap_u, ap_v) + leg_v, exactly as query() does.
   [[nodiscard]] QueryRoute route(VertexId u, VertexId v) const {
     if (u >= g.num_vertices() || v >= g.num_vertices()) {
       throw std::out_of_range("EarApsp: vertex out of range");
@@ -610,30 +610,6 @@ struct EarApspEngine::Impl {
       rt.leg_v = {true, nv, local_of[nv].at(v), local_of[nv].at(rt.ap_v)};
     }
     return rt;
-  }
-
-  [[nodiscard]] BlockQueryPlan block_query_plan(std::uint32_t comp,
-                                                VertexId lu,
-                                                VertexId lv) const {
-    BlockQueryPlan plan;
-    if (lu == lv) {
-      plan.chain_direct = 0;  // evaluate() then yields exactly 0
-      return plan;
-    }
-    const Exits& eu = exits.at(comp).at(lu);
-    const Exits& ev = exits.at(comp).at(lv);
-    plan.exits_u = eu.e;
-    plan.exits_v = ev.e;
-    plan.count_u = static_cast<std::uint32_t>(eu.count);
-    plan.count_v = static_cast<std::uint32_t>(ev.count);
-    const reduce::ChainSet& cs = reduced[comp].chains();
-    if (cs.chain_of[lu] != reduce::kNoChain &&
-        cs.chain_of[lu] == cs.chain_of[lv]) {
-      const reduce::Chain& chain = cs.chains[cs.chain_of[lu]];
-      plan.chain_direct = std::abs(chain.prefix[cs.position[lu]] -
-                                   chain.prefix[cs.position[lv]]);
-    }
-    return plan;
   }
 };
 
@@ -675,11 +651,6 @@ Weight EarApspEngine::query(VertexId u, VertexId v) const {
 }
 QueryRoute EarApspEngine::route(VertexId u, VertexId v) const {
   return impl_->route(u, v);
-}
-BlockQueryPlan EarApspEngine::block_query_plan(std::uint32_t comp,
-                                               VertexId local_u,
-                                               VertexId local_v) const {
-  return impl_->block_query_plan(comp, local_u, local_v);
 }
 VertexId EarApspEngine::component_local(std::uint32_t comp, VertexId u) const {
   return impl_->local_of.at(comp).at(u);

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -103,9 +102,8 @@ struct PhaseTimings {
 };
 
 /// How one point-to-point query routes through the decomposition, computed
-/// without evaluating any distance. The serving layer (src/serve) uses it
-/// to classify queries into evaluation paths and to group the within-block
-/// legs by block before dispatching them through the hetero scheduler.
+/// without evaluating any distance. The serving benches use it to measure
+/// the route mix of a query workload.
 struct QueryRoute {
   enum class Kind : std::uint8_t {
     Trivial,       ///< u == v: distance 0, nothing to evaluate
@@ -127,39 +125,6 @@ struct QueryRoute {
   Leg leg_v;  ///< CrossBlock only: v -> last AP
   VertexId ap_u = 0;  ///< CrossBlock: first AP on the tree path (global id)
   VertexId ap_v = 0;  ///< CrossBlock: last AP on the tree path (global id)
-};
-
-/// The closed-form inputs of one within-block distance: the two endpoints'
-/// reduced-graph exits plus the optional same-chain direct candidate.
-/// Lets an external evaluator (the serving batch path) compute
-/// block_distance from reduced-source rows it obtained elsewhere — e.g. a
-/// fresh SSSP recomputation on the reduced graph — bit-identically to the
-/// engine, because evaluate() preserves the engine's candidate shapes
-/// ((d_exit + S) + d_entry, exact min; see block_distance).
-struct BlockQueryPlan {
-  std::array<std::pair<VertexId, Weight>, 2> exits_u{};  ///< (reduced id, d)
-  std::array<std::pair<VertexId, Weight>, 2> exits_v{};
-  std::uint32_t count_u = 0;
-  std::uint32_t count_v = 0;
-  /// |prefix_u - prefix_v| when both endpoints share a chain (0 when the
-  /// endpoints coincide), +infinity otherwise.
-  Weight chain_direct = graph::kInfWeight;
-
-  /// Evaluates the plan; `row(r)` must yield the distances-from-r row of
-  /// the block's reduced graph (span- or pointer-like, indexed by reduced
-  /// vertex id) as produced by any of the bit-identical SSSP kernels.
-  template <typename RowFn>
-  [[nodiscard]] Weight evaluate(const RowFn& row) const {
-    Weight best = graph::kInfWeight;
-    for (std::uint32_t i = 0; i < count_u; ++i) {
-      const auto [ru, du] = exits_u[i];
-      const auto r = row(ru);
-      for (std::uint32_t j = 0; j < count_v; ++j) {
-        best = std::min(best, du + r[exits_v[j].first] + exits_v[j].second);
-      }
-    }
-    return std::min(best, chain_direct);
-  }
 };
 
 /// Shared engine: everything up to and including the reduced-graph APSP
@@ -201,12 +166,6 @@ class EarApspEngine {
   /// exactly that association (absent legs are literal 0), matching
   /// query() bit for bit.
   [[nodiscard]] QueryRoute route(VertexId u, VertexId v) const;
-
-  /// The closed-form inputs of block_distance(comp, lu, lv), for external
-  /// evaluation against reduced-source rows (BlockQueryPlan::evaluate).
-  [[nodiscard]] BlockQueryPlan block_query_plan(std::uint32_t comp,
-                                                VertexId local_u,
-                                                VertexId local_v) const;
 
   /// Component-local id of global vertex `u` inside block `comp`; throws
   /// std::out_of_range when u is not a vertex of that block.

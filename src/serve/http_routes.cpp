@@ -82,7 +82,7 @@ void fail(obs::HttpResponse& response, const std::string& message) {
 bool handle_single(OracleServer& server, const obs::HttpRequest& request,
                    obs::HttpResponse& response) {
   // Request context: arrival is request receipt, and every span below —
-  // including the oracle's, across worker lanes — joins this query's tree.
+  // including the oracle's — joins this query's tree.
   obs::QueryTrace qt(obs::Tracer::now_ns());
   const obs::QueryTraceScope qscope(&qt);
   const obs::QuerySpan request_span("serve.request");
@@ -98,10 +98,12 @@ bool handle_single(OracleServer& server, const obs::HttpRequest& request,
     fail(response, "s and t must be decimal vertex ids");
     return true;
   }
+  // Answer from the snapshot the reply's epoch names: a rebuild between
+  // two separate pins would label a new-graph answer with the old epoch.
   const auto snap = server.snapshot();
   graph::Weight d = 0;
   try {
-    d = server.query(*sv, *tv);
+    d = server.query_on(*snap, *sv, *tv);
   } catch (const std::out_of_range&) {
     fail(response, "vertex id out of range");
     return true;

@@ -9,39 +9,20 @@
 // published snapshot is ever mutated, so queries need no locks beyond the
 // one pointer copy.
 //
-// Three query paths:
-//   * scalar    — query(s, t): resolve snapshot, closed-form compact query
-//                 (EarApspEngine::query), one latency histogram record.
-//                 The singleton fast path: no batching, no scheduler.
-//   * batched   — query_batch(queries): classify every query with
-//                 EarApspEngine::route, group the within-block legs by
-//                 block into work units, drain them through the hetero
-//                 scheduler (run_cpu_only / run_heterogeneous per the
-//                 build mode), then recompose leg + AP-table answers.
-//                 Bit-identical to the scalar path query for query.
-//   * compact   — same-block pairs short-circuit to a single
-//                 block-distance evaluation (the route's SameBlock kind);
-//                 in a batch they are exactly the one-leg work items.
-//
-// The batched path offers two leg engines:
-//   * Tables    — evaluate legs against the snapshot's reduced tables
-//                 (EarApspEngine::block_distance); pure reads.
-//   * Recompute — re-derive the needed reduced-graph rows per work unit
-//                 with fresh SSSP runs, using phase II's kernel selection
-//                 (multi-source lanes when the unit is wide and the
-//                 reduced component large, Dijkstra otherwise; the device
-//                 side runs DeltaSteppingWorkspace). Proves the serving
-//                 answers do not depend on the stored tables — the
-//                 table-free mode a future incremental rebuild would use —
-//                 and stays bit-identical because every kernel is
-//                 bit-identical to Dijkstra and BlockQueryPlan::evaluate
-//                 preserves the engine's candidate shapes.
+// Two query paths, both the paper's Phase III closed form (PAPER.md §1):
+//   * scalar  — query(s, t) / query_on(snap, s, t): one compact query
+//               (EarApspEngine::query), one latency histogram record.
+//   * batched — query_batch(queries) / query_batch_on(snap, queries): pin
+//               the snapshot once and loop the same closed form over every
+//               query. Bit-identical to the scalar path by construction.
+// Each answer is an O(1) read of the compact tables, so neither path goes
+// through the hetero work queue; that queue serves phase II's reduced-graph
+// SSSP runs at build time.
 //
 // Metrics (obs registry): oracle.query.scalar.latency_ns and
 // oracle.query.batch.latency_ns histograms (the batch one records the
 // amortized per-query cost), oracle.serve.batch.latency_ns for whole
-// batches, oracle.serve.queries / .batches counters, per-path counters
-// oracle.serve.path.{trivial,disconnected,same_block,cross_block}, and the
+// batches, oracle.serve.queries / .batches counters, and the
 // oracle.serve.epoch gauge. All visible on a live /metrics scrape.
 #pragma once
 
@@ -64,26 +45,10 @@ struct Query {
   VertexId t = 0;
 };
 
-/// How the batched path evaluates within-block legs (see file comment).
-enum class BatchEngine {
-  Tables,     ///< read the snapshot's reduced tables
-  Recompute,  ///< fresh SSSP rows on the reduced graph per work unit
-};
-
 struct ServeOptions {
-  /// How snapshots are built; `build.mode` also selects the batched-path
-  /// drain: Sequential runs units inline, Multicore drains through
-  /// run_cpu_only, DeviceOnly/Heterogeneous through run_heterogeneous
-  /// (CPU workers + the software device driver).
+  /// How snapshots are built (the phase II execution mode and threads).
   core::ApspOptions build{.mode = core::ExecutionMode::Multicore,
                           .cpu_threads = 4};
-  BatchEngine batch_engine = BatchEngine::Tables;
-  /// Scheduler claim minimums for the batched drain.
-  std::size_t cpu_batch = 1;
-  std::size_t device_batch = 2;
-  /// Target within-block legs per work unit. Small units keep the drain
-  /// balanced; large ones amortize the per-unit plan/SSSP setup.
-  std::uint32_t legs_per_unit = 64;
 };
 
 /// One immutable published build: the input graph plus the compact oracle
@@ -139,21 +104,23 @@ class OracleServer {
 
   [[nodiscard]] const ServeOptions& options() const noexcept;
 
-  /// Scalar fast path: resolve the current snapshot, answer s-t through
-  /// the compact closed form. Throws std::out_of_range on bad vertices.
+  /// Scalar path: pin the current snapshot, answer s-t through the compact
+  /// closed form (see query_on). Throws std::out_of_range on bad vertices.
   [[nodiscard]] Weight query(VertexId s, VertexId t) const;
+
+  /// Scalar path against a caller-pinned snapshot, so a reply can report
+  /// the epoch its answer came from. Same metrics and attribution as
+  /// query(); bit-identical to snap.query(s, t).
+  [[nodiscard]] Weight query_on(const OracleSnapshot& snap, VertexId s,
+                                VertexId t) const;
 
   /// Batched path against the current snapshot (see query_batch_on).
   [[nodiscard]] std::vector<Weight> query_batch(
       std::span<const Query> queries) const;
 
-  /// Batched path against a caller-pinned snapshot: classify, group legs
-  /// by block, drain through the scheduler, recompose. Returns one
-  /// distance per query, in order, bit-identical to calling
-  /// snap.query(s, t) per query. Deterministic: the same batch on the
-  /// same snapshot always returns bitwise-identical results regardless of
-  /// scheduling, because every leg lands in a fixed slot and every
-  /// evaluation is order-independent.
+  /// Batched path against a caller-pinned snapshot: one distance per
+  /// query, in order, each bit-identical to snap.query(s, t). Throws
+  /// std::out_of_range on bad vertices.
   [[nodiscard]] std::vector<Weight> query_batch_on(
       const OracleSnapshot& snap, std::span<const Query> queries) const;
 

@@ -61,11 +61,10 @@ class MultiSourceWorkspace {
                  DistanceMatrix& out);
 
   /// Arbitrary-source form: one lane per sources[i] (duplicates allowed),
-  /// writing row sources[i] of `out`. The phase-II drain feeds contiguous
-  /// source ranges, but the serving batch path recomputes rows for the
-  /// scattered exit anchors of a query batch — same kernel, same
-  /// bit-identical-to-Dijkstra contract, only the lane -> source mapping
-  /// generalizes. sources.size() must be <= the ensured lane count.
+  /// writing row sources[i] of `out`. The range form above delegates here;
+  /// same kernel, same bit-identical-to-Dijkstra contract, only the
+  /// lane -> source mapping generalizes. sources.size() must be <= the
+  /// ensured lane count.
   void distances(const Graph& g, std::span<const VertexId> sources,
                  DistanceMatrix& out);
 

@@ -203,21 +203,14 @@ CheckResult check_served_queries_vs_dijkstra(const Graph& g,
     return weights_close(a, b, tol);
   };
 
-  serve::ServeOptions tables_opts;
-  tables_opts.build = {.mode = core::ExecutionMode::Sequential};
-  tables_opts.batch_engine = serve::BatchEngine::Tables;
-  tables_opts.legs_per_unit = 7;  // odd size: force multi-unit batches
-  const serve::OracleServer tables(g, tables_opts);
+  const serve::OracleServer sequential(
+      g, {.build = {.mode = core::ExecutionMode::Sequential}});
+  const serve::OracleServer multicore(
+      g, {.build = {.mode = core::ExecutionMode::Multicore,
+                    .cpu_threads = 3}});
 
-  serve::ServeOptions recompute_opts;
-  recompute_opts.build = {.mode = core::ExecutionMode::Multicore,
-                          .cpu_threads = 3};
-  recompute_opts.batch_engine = serve::BatchEngine::Recompute;
-  recompute_opts.legs_per_unit = 5;
-  const serve::OracleServer recompute(g, recompute_opts);
-
-  // Every pair once, in seed-shuffled order: batch composition (which legs
-  // share a unit, which worker drains them) must not affect any answer.
+  // Every pair once, in seed-shuffled order: batch composition must not
+  // affect any answer.
   std::vector<serve::Query> batch;
   batch.reserve(static_cast<std::size_t>(g.num_vertices()) *
                 g.num_vertices());
@@ -228,26 +221,26 @@ CheckResult check_served_queries_vs_dijkstra(const Graph& g,
   }
   std::shuffle(batch.begin(), batch.end(), std::mt19937_64(seed));
 
-  const std::vector<Weight> via_tables = tables.query_batch(batch);
-  const std::vector<Weight> via_recompute = recompute.query_batch(batch);
+  const std::vector<Weight> via_sequential = sequential.query_batch(batch);
+  const std::vector<Weight> via_multicore = multicore.query_batch(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const serve::Query q = batch[i];
-    const Weight scalar = tables.query(q.s, q.t);
+    const Weight scalar = sequential.query(q.s, q.t);
     // Serving determinism: every serve path bitwise-identical.
-    if (std::memcmp(&via_tables[i], &scalar, sizeof(Weight)) != 0) {
-      return describe_mismatch("served batch (Tables) vs scalar", q.s, q.t,
-                               via_tables[i], scalar);
+    if (std::memcmp(&via_sequential[i], &scalar, sizeof(Weight)) != 0) {
+      return describe_mismatch("served batch (Sequential) vs scalar", q.s,
+                               q.t, via_sequential[i], scalar);
     }
-    if (std::memcmp(&via_recompute[i], &scalar, sizeof(Weight)) != 0) {
-      return describe_mismatch("served batch (Recompute) vs scalar", q.s,
-                               q.t, via_recompute[i], scalar);
+    if (std::memcmp(&via_multicore[i], &scalar, sizeof(Weight)) != 0) {
+      return describe_mismatch("served batch (Multicore) vs scalar", q.s,
+                               q.t, via_multicore[i], scalar);
     }
   }
   // Correctness: scalar answers vs an independent Dijkstra per source.
   for (VertexId s = 0; s < g.num_vertices(); ++s) {
     const auto ref = sssp::dijkstra(g, s);
     for (VertexId t = 0; t < g.num_vertices(); ++t) {
-      const Weight got = tables.query(s, t);
+      const Weight got = sequential.query(s, t);
       if (!close(got, ref.dist[t])) {
         return describe_mismatch("served scalar vs Dijkstra", s, t, got,
                                  ref.dist[t]);

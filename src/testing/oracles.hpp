@@ -62,12 +62,11 @@ using CheckResult = std::optional<std::string>;
 [[nodiscard]] CheckResult check_depina_vs_scalar_reference(const Graph& g);
 
 /// The serving layer's differential: every (s, t) pair answered through
-/// OracleServer's scalar path, the batched Tables engine (Sequential
-/// drain) and the batched Recompute engine (Multicore drain, fresh SSSP
-/// rows per work unit). Scalar answers are compared against per-source
-/// Dijkstra under the tolerance; the three serve paths are compared
-/// against *each other* bit for bit — the serving determinism contract.
-/// `seed` shuffles the batch order, so unit grouping and drain order are
+/// OracleServer's scalar path and its batched path on a Sequential-built
+/// and a Multicore-built snapshot. Scalar answers are compared against
+/// per-source Dijkstra under the tolerance; the three serve paths are
+/// compared against *each other* bit for bit — the serving determinism
+/// contract. `seed` shuffles the batch order, so batch composition is
 /// exercised as irrelevant.
 [[nodiscard]] CheckResult check_served_queries_vs_dijkstra(const Graph& g,
                                                            std::uint64_t seed);

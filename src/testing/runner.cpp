@@ -204,8 +204,9 @@ std::vector<PropertyCheck> build_checks() {
                }});
   r.push_back({.name = "serve_mix",
                .description =
-                   "OracleServer scalar/batched(Tables)/batched(Recompute) "
-                   "vs Dijkstra; serve paths bitwise-identical",
+                   "OracleServer scalar/batched(Sequential)/"
+                   "batched(Multicore) vs Dijkstra; serve paths "
+                   "bitwise-identical",
                .kind = CheckKind::Differential,
                .size_hint = 22,
                .run = [](const Graph& g, std::uint64_t seed) {

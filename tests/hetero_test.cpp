@@ -75,8 +75,8 @@ TEST(ThreadPool, SlotsCoverRangeWithBoundedSlotIndices) {
 
 TEST(ThreadPool, SlotsAreDistinctPerConcurrentStream) {
   // Two streams in the same claimed slot at once would make per-slot
-  // scratch unsafe — the exact contract the Recompute serve engine and the
-  // batched SSSP paths rely on. Track concurrent occupancy per slot.
+  // scratch unsafe — the exact contract the batched SSSP paths rely on.
+  // Track concurrent occupancy per slot.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> occupancy(pool.max_slots());
   std::atomic<bool> exclusive{true};

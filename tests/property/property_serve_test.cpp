@@ -1,10 +1,11 @@
 // Property suite for the online serving layer: the serve_mix differential
 // check replays every (s, t) pair through OracleServer's scalar path and
-// both batched engines (Tables / Recompute) in seed-shuffled batch order,
-// comparing against per-source Dijkstra — across every seeded graph
-// family. The check rides the standard harness, so a failure is shrunk to
-// a minimal counterexample and replays bit-identically from its printed
-// seed (`eardec_fuzz --seed S --family F --check serve_mix --runs 1`).
+// its batched path on Sequential- and Multicore-built snapshots in
+// seed-shuffled batch order, comparing against per-source Dijkstra —
+// across every seeded graph family. The check rides the standard harness,
+// so a failure is shrunk to a minimal counterexample and replays
+// bit-identically from its printed seed
+// (`eardec_fuzz --seed S --family F --check serve_mix --runs 1`).
 #include <gtest/gtest.h>
 
 #include <sstream>

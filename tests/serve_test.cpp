@@ -3,11 +3,12 @@
 // test here under ThreadSanitizer: N reader threads hammering a snapshot
 // while the stats endpoint is scraped, snapshot swaps under load (readers
 // pinned to the old epoch finish on it — no use-after-free, no torn
-// answers), and bitwise determinism of the batched path across reruns,
-// engines, and execution modes.
+// answers), and bitwise determinism of the batched path across reruns and
+// execution modes.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -25,7 +26,9 @@
 #include "obs/trace.hpp"
 #include "serve/http_routes.hpp"
 #include "serve/oracle_server.hpp"
+#include "sssp/dijkstra.hpp"
 #include "testing/families.hpp"
+#include "testing/metamorphic.hpp"
 
 #if defined(__unix__)
 #include <arpa/inet.h>
@@ -76,12 +79,12 @@ TEST(OracleServer, ScalarPathMatchesCompactOracle) {
   }
 }
 
-TEST(OracleServer, BatchMatchesScalarBitwiseAcrossEnginesAndModes) {
+TEST(OracleServer, BatchMatchesScalarBitwiseAcrossModes) {
   const graph::Graph g = test_graph(23);
   const std::vector<serve::Query> queries = all_pairs(g);
 
-  // Scalar reference from one server; every engine x mode combination
-  // must reproduce it bit for bit.
+  // Scalar reference from one server; a batch on a snapshot built in any
+  // execution mode must reproduce it bit for bit.
   const serve::OracleServer scalar_server(
       g, {.build = {.mode = core::ExecutionMode::Sequential}});
   std::vector<Weight> expected;
@@ -93,35 +96,69 @@ TEST(OracleServer, BatchMatchesScalarBitwiseAcrossEnginesAndModes) {
   const core::ExecutionMode modes[] = {core::ExecutionMode::Sequential,
                                        core::ExecutionMode::Multicore,
                                        core::ExecutionMode::Heterogeneous};
-  const serve::BatchEngine engines[] = {serve::BatchEngine::Tables,
-                                        serve::BatchEngine::Recompute};
   for (const auto mode : modes) {
-    for (const auto engine : engines) {
-      serve::ServeOptions opts;
-      opts.build = {.mode = mode, .cpu_threads = 3};
-      opts.batch_engine = engine;
-      opts.legs_per_unit = 9;  // multiple units per block
-      const serve::OracleServer server(g, opts);
-      const std::vector<Weight> got = server.query_batch(queries);
-      EXPECT_TRUE(bitwise_equal(got, expected))
-          << "mode " << static_cast<int>(mode) << " engine "
-          << static_cast<int>(engine);
-    }
+    const serve::OracleServer server(
+        g, {.build = {.mode = mode, .cpu_threads = 3}});
+    const std::vector<Weight> got = server.query_batch(queries);
+    EXPECT_TRUE(bitwise_equal(got, expected))
+        << "mode " << static_cast<int>(mode);
   }
 }
 
 TEST(OracleServer, IdenticalBatchRerunsAreBitwiseIdentical) {
   const graph::Graph g = test_graph(5);
-  serve::ServeOptions opts;
-  opts.build = {.mode = core::ExecutionMode::Multicore, .cpu_threads = 4};
-  opts.batch_engine = serve::BatchEngine::Recompute;
-  opts.legs_per_unit = 3;  // many tiny units: maximal drain nondeterminism
-  const serve::OracleServer server(g, opts);
+  const serve::OracleServer server(
+      g, {.build = {.mode = core::ExecutionMode::Multicore,
+                    .cpu_threads = 4}});
   const std::vector<serve::Query> queries = all_pairs(g);
   const std::vector<Weight> first = server.query_batch(queries);
   for (int rerun = 0; rerun < 5; ++rerun) {
     EXPECT_TRUE(bitwise_equal(server.query_batch(queries), first))
         << "rerun " << rerun;
+  }
+}
+
+// A batch is the closed form looped on one pinned snapshot: it must not
+// drain through the hetero scheduler, whose process-wide counters every
+// run_cpu_only call advances.
+TEST(OracleServer, BatchBypassesTheScheduler) {
+  const graph::Graph g = test_graph(31);
+  const serve::OracleServer server(
+      g, {.build = {.mode = core::ExecutionMode::Multicore,
+                    .cpu_threads = 4}});
+  std::mt19937_64 rng(31);
+  std::vector<serve::Query> batch(64);
+  for (serve::Query& q : batch) {
+    q.s = static_cast<VertexId>(rng() % g.num_vertices());
+    q.t = static_cast<VertexId>(rng() % g.num_vertices());
+  }
+  auto& reg = obs::MetricsRegistry::instance();
+  const obs::Counter& units = reg.counter("hetero.scheduler.cpu_units");
+  const obs::Counter& claims = reg.counter("hetero.scheduler.cpu_claims");
+  const std::uint64_t units_before = units.value();
+  const std::uint64_t claims_before = claims.value();
+  EXPECT_EQ(server.query_batch(batch).size(), batch.size());
+  EXPECT_EQ(units.value(), units_before);
+  EXPECT_EQ(claims.value(), claims_before);
+}
+
+// query_on answers from the snapshot it is handed, not the current one:
+// after a rebuild to doubled weights, the old pin still yields the old
+// graph's distances while query() already sees the new ones.
+TEST(OracleServer, QueryOnAnswersFromThePinnedSnapshot) {
+  const graph::Graph a = test_graph(17);
+  const graph::Graph b = eardec::testing::scale_weights(a, 2);
+  serve::OracleServer server(a, {});
+  const auto pinned = server.snapshot();
+  server.rebuild(b);
+  const VertexId n = a.num_vertices();
+  for (VertexId s = 0; s < n; ++s) {
+    const auto want_a = sssp::dijkstra(a, s).dist;
+    const auto want_b = sssp::dijkstra(b, s).dist;
+    for (VertexId t = 0; t < n; ++t) {
+      EXPECT_EQ(server.query_on(*pinned, s, t), want_a[t]);
+      EXPECT_EQ(server.query(s, t), want_b[t]);
+    }
   }
 }
 
@@ -335,6 +372,53 @@ TEST_F(ServeHttpTest, SingleQueryAnswersJsonWithExactDistance) {
   EXPECT_NE(resp.find("\"epoch\": 1"), std::string::npos);
 }
 
+// A GET /query reply's distance must come from the graph of the epoch it
+// reports. Two graphs share a topology, B with every weight doubled, and a
+// rebuilder alternates between them — odd epochs serve A, even epochs B —
+// while the client checks each reply against Dijkstra on its epoch's graph.
+TEST_F(ServeHttpTest, SingleQueryEpochMatchesItsAnswer) {
+  const graph::Graph& a = g_;
+  const graph::Graph b = eardec::testing::scale_weights(a, 2);
+  const VertexId n = a.num_vertices();
+  std::vector<std::vector<Weight>> dist_a(n), dist_b(n);
+  for (VertexId s = 0; s < n; ++s) {
+    dist_a[s] = sssp::dijkstra(a, s).dist;
+    dist_b[s] = sssp::dijkstra(b, s).dist;
+  }
+
+  std::atomic<bool> done{false};
+  std::thread rebuilder([&] {
+    for (int k = 0; k < 24; ++k) server_->rebuild(k % 2 == 0 ? b : a);
+    done.store(true, std::memory_order_relaxed);
+  });
+  std::mt19937_64 rng(41);
+  int replies = 0;
+  while (!done.load(std::memory_order_relaxed) || replies < 20) {
+    const auto s = static_cast<VertexId>(rng() % n);
+    const auto t = static_cast<VertexId>(rng() % n);
+    const std::string resp = http_request(
+        port_, "GET",
+        "/query?s=" + std::to_string(s) + "&t=" + std::to_string(t));
+    ++replies;
+    const std::size_t e = resp.find("\"epoch\": ");
+    const std::size_t d = resp.find("\"distance\": \"");
+    if (e == std::string::npos || d == std::string::npos) {
+      ADD_FAILURE() << "malformed reply: " << resp;
+      continue;
+    }
+    const std::uint64_t epoch =
+        std::strtoull(resp.c_str() + e + std::strlen("\"epoch\": "),
+                      nullptr, 10);
+    const std::size_t from = d + std::strlen("\"distance\": \"");
+    const std::string got = resp.substr(from, resp.find('"', from) - from);
+    const Weight want = epoch % 2 == 1 ? dist_a[s][t] : dist_b[s][t];
+    EXPECT_EQ(got, serve::format_distance(want))
+        << "epoch " << epoch << " d(" << s << "," << t << ")";
+  }
+  rebuilder.join();
+  EXPECT_EQ(server_->epoch(), 25u);
+}
+
 TEST_F(ServeHttpTest, BatchPostAnswersAllPairsInOrder) {
   const std::string resp =
       http_request(port_, "POST", "/query/batch", "0 1\n2 3\n0 0\n");
@@ -391,10 +475,13 @@ TEST_F(ServeHttpTest, ReadersScrapesAndSwapsRaceFreely) {
     workers.emplace_back([&, r] {
       std::mt19937_64 rng(static_cast<std::uint64_t>(r) + 9);
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto n = server_->snapshot()->graph().num_vertices();
+        // s and t are valid on this pin only: a rebuild may publish a
+        // smaller graph before a fresh pin would resolve.
+        const auto snap = server_->snapshot();
+        const auto n = snap->graph().num_vertices();
         const auto s = static_cast<VertexId>(rng() % n);
         const auto t = static_cast<VertexId>(rng() % n);
-        (void)server_->query(s, t);
+        (void)server_->query_on(*snap, s, t);
         const auto answers = server_->query_batch(batch);
         if (answers.size() != batch.size()) ++failures;
       }

@@ -12,9 +12,9 @@ and walks its critical path: starting at the root, repeatedly descend into
 the child that finishes last; the step from a node to that child charges
 the node its duration minus the child's (self time on the path), and the
 final leaf is charged in full. Summing over queries gives "where the
-answer's wall-clock actually went" — through scheduler work units
-(oracle.leg_unit spans run on worker lanes but still parent under the
-query's root), not just through phases.
+answer's wall-clock actually went" — through every linked span, including
+ones emitted on other threads (they still parent under the query's root),
+not just through phases.
 
 Trees whose parent links dangle (the trace ring wrapped mid-query) are
 counted and skipped, not guessed at.

@@ -57,9 +57,6 @@
 //                              read the final state
 //   --serve-seconds <sec>      serve: exit after <sec> seconds (0 = until a
 //                              signal arrives; the default)
-//   --batch-engine=tables|recompute
-//                              serve: how /query/batch evaluates its
-//                              within-block legs (see docs/serving.md)
 //   --slow-log <file>          serve: on shutdown, dump the slow-query
 //                              exemplar ring (tail-sampled span trees, the
 //                              same JSON as GET /debug/slow) to <file>.
@@ -153,7 +150,6 @@ struct CliOptions {
   unsigned stats_linger = 0; ///< --stats-linger: seconds to serve after done
   unsigned serve_seconds = 0;  ///< serve: run time limit (0 = until signal)
   std::string slow_log_path;   ///< --slow-log: exemplar-ring dump on shutdown
-  serve::BatchEngine batch_engine = serve::BatchEngine::Tables;
   bool deep = false;           ///< --deep: deep-validate .edg2 loads
   std::string reorder;         ///< --reorder: convert relabeling (bfs|degree)
   double rss_gate = 0.0;       ///< --rss-gate: decompose RSS/model factor (0 = off)
@@ -220,15 +216,6 @@ std::vector<std::string> parse_args(int argc, char** argv, CliOptions& cli) {
     } else if (arg.starts_with("--rss-gate=")) {
       cli.rss_gate = std::stod(arg.substr(std::strlen("--rss-gate=")));
       if (cli.rss_gate <= 0) throw std::runtime_error("--rss-gate must be > 0");
-    } else if (arg.starts_with("--batch-engine")) {
-      const std::string engine = value_of(arg, "--batch-engine", i);
-      if (engine == "tables") {
-        cli.batch_engine = serve::BatchEngine::Tables;
-      } else if (engine == "recompute") {
-        cli.batch_engine = serve::BatchEngine::Recompute;
-      } else {
-        throw std::runtime_error("unknown --batch-engine " + engine);
-      }
     } else if (arg.starts_with("--")) {
       throw std::runtime_error("unknown option " + arg);
     } else {
@@ -372,7 +359,7 @@ int usage() {
                "[--json-stats] [--pmu] [--stats-port <p>] "
                "[--stats-linger <sec>] [--serve-seconds <sec>] "
                "[--slow-log <file>] "
-               "[--batch-engine=tables|recompute] [--deep] "
+               "[--deep] "
                "[--reorder=bfs|degree] [--rss-gate[=factor]]\n");
   return 2;
 }
@@ -646,10 +633,7 @@ int main(int argc, char** argv) {
                      "-DEARDEC_ENABLE_TRACING=ON\n");
         return 1;
       }
-      serve::ServeOptions sopts;
-      sopts.build = opts;
-      sopts.batch_engine = cli.batch_engine;
-      serve::OracleServer server(g, sopts);
+      serve::OracleServer server(g, {.build = opts});
       serve::register_query_routes(server);
       // Tail-sampled exemplar store (GET /debug/slow, --slow-log) and the
       // always-on flight recorder with a stalled-loop watchdog: a serve
