@@ -4,8 +4,12 @@
 // execution modes, and seeds.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
+#include <string>
+#include <string_view>
 
+#include "connectivity/block_cut_tree.hpp"
 #include "connectivity/tree_lca.hpp"
 #include "core/distance_oracle.hpp"
 #include "core/ear_apsp.hpp"
@@ -13,6 +17,7 @@
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
+#include "testing/families.hpp"
 
 namespace eardec::core {
 namespace {
@@ -361,6 +366,58 @@ TEST(EarApsp, QueriesValidateArguments) {
   EXPECT_THROW((void)oracle.distance(0, 4), std::out_of_range);
   const EarApsp full(g, {.mode = ExecutionMode::Sequential});
   EXPECT_THROW((void)full.distance(4, 0), std::out_of_range);
+}
+
+// ------------------------------------------------------ route classification
+
+TEST(EarApsp, RouteKindMatchesBlockCutTreeOnAllPairs) {
+  // route(u, v).kind must agree with a classification read straight off
+  // the block-cut tree and query(): Trivial iff u == v, Disconnected iff
+  // the distance is infinite, SameBlock iff two non-AP endpoints share a
+  // block, CrossBlock otherwise.
+  using Kind = QueryRoute::Kind;
+  for (const char* name :
+       {"block_cut", "bridge_tree", "lollipop", "sparse_connected",
+        "disconnected"}) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      const Graph g = eardec::testing::family(name).make(seed, 24);
+      const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
+      const EarApspEngine& eng = oracle.engine();
+      const connectivity::BlockCutTree& bct = eng.block_cut_tree();
+      const auto is_ap = [&](graph::VertexId x) {
+        return bct.cut_index(x) != connectivity::kNoComponent;
+      };
+      std::array<std::size_t, 4> seen{};
+      const graph::VertexId n = g.num_vertices();
+      for (graph::VertexId u = 0; u < n; ++u) {
+        for (graph::VertexId v = 0; v < n; ++v) {
+          Kind want = Kind::CrossBlock;
+          if (u == v) {
+            want = Kind::Trivial;
+          } else if (eng.query(u, v) == graph::kInfWeight) {
+            want = Kind::Disconnected;
+          } else if (!is_ap(u) && !is_ap(v) &&
+                     bct.block_of(u) == bct.block_of(v)) {
+            want = Kind::SameBlock;
+          }
+          const Kind got = eng.route(u, v).kind;
+          ASSERT_EQ(got, want) << "pair " << u << "," << v;
+          ++seen[static_cast<std::size_t>(got)];
+        }
+      }
+      EXPECT_EQ(seen[static_cast<std::size_t>(Kind::Trivial)], n);
+      if (std::string_view(name) == "disconnected") {
+        EXPECT_GT(seen[static_cast<std::size_t>(Kind::Disconnected)], 0u);
+      }
+      if (std::string_view(name) == "block_cut") {
+        EXPECT_GT(seen[static_cast<std::size_t>(Kind::SameBlock)], 0u);
+        EXPECT_GT(seen[static_cast<std::size_t>(Kind::CrossBlock)], 0u);
+      }
+      EXPECT_THROW((void)eng.route(n, 0), std::out_of_range);
+      EXPECT_THROW((void)eng.route(0, n), std::out_of_range);
+    }
+  }
 }
 
 // -------------------------------------------------- dataset-scale smoke
