@@ -98,9 +98,6 @@ SizeResult run_size(graph::VertexId n, hetero::ThreadPool& pool,
             }
           }
           const auto view = connectivity::extract_component(g, bcc, largest);
-          // The serial algorithm is the O(n + m) one; the parallel variant's
-          // per-edge LCA climb is superlinear on the deep DFS trees this
-          // generator's chain-heavy dominant block produces.
           (void)connectivity::ear_decomposition(view.graph);
         }));
 

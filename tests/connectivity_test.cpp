@@ -11,7 +11,6 @@
 #include "connectivity/bridges.hpp"
 #include "connectivity/dfs.hpp"
 #include "connectivity/ear_decomposition.hpp"
-#include "connectivity/parallel_ear.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 
@@ -464,118 +463,6 @@ TEST(EarDecomposition, RejectsBridgesAndDisconnected) {
   c.add_edge(5, 3);
   c.add_edge(2, 3);
   EXPECT_THROW(ear_decomposition(std::move(c).build()), std::invalid_argument);
-}
-
-}  // namespace
-}  // namespace eardec::connectivity
-namespace eardec::connectivity {
-namespace {
-
-namespace gen2 = graph::generators;
-
-// ------------------------------------------------- parallel ear decomposition
-
-/// The validity checker from above, reused for the parallel variant.
-void expect_valid_parallel_ed(const graph::Graph& g) {
-  const auto ed = parallel_ear_decomposition(g);
-  // Same axioms as the sequential decomposition.
-  std::vector<std::uint32_t> edge_seen(g.num_edges(), 0);
-  std::vector<bool> on_earlier(g.num_vertices(), false);
-  ASSERT_FALSE(ed.ears.empty());
-  ASSERT_TRUE(ed.ears.front().is_cycle());
-  for (std::size_t i = 0; i < ed.ears.size(); ++i) {
-    const Ear& ear = ed.ears[i];
-    ASSERT_EQ(ear.vertices.size(), ear.edges.size() + 1);
-    for (std::size_t k = 0; k < ear.edges.size(); ++k) {
-      const auto [a, b] = g.endpoints(ear.edges[k]);
-      const std::set<VertexId> got{ear.vertices[k], ear.vertices[k + 1]};
-      ASSERT_EQ(got, (std::set<VertexId>{a, b})) << "ear " << i;
-      ++edge_seen[ear.edges[k]];
-      EXPECT_EQ(ed.edge_ear[ear.edges[k]], i);
-    }
-    if (i > 0 && ed.open) {
-      EXPECT_TRUE(on_earlier[ear.vertices.front()]) << "ear " << i;
-      EXPECT_TRUE(on_earlier[ear.vertices.back()]) << "ear " << i;
-      for (std::size_t k = 1; k + 1 < ear.vertices.size(); ++k) {
-        EXPECT_FALSE(on_earlier[ear.vertices[k]]) << "ear " << i;
-      }
-    }
-    for (const VertexId v : ear.vertices) on_earlier[v] = true;
-  }
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(edge_seen[e], 1u) << "edge " << e;
-  }
-}
-
-TEST(ParallelEar, ValidOnBiconnectedFamilies) {
-  expect_valid_parallel_ed(gen2::cycle(7));
-  expect_valid_parallel_ed(gen2::petersen());
-  expect_valid_parallel_ed(gen2::wheel(9));
-  expect_valid_parallel_ed(gen2::complete(6));
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    expect_valid_parallel_ed(gen2::subdivide(
-        gen2::random_biconnected(16, 28, seed), 30, seed + 9));
-  }
-}
-
-TEST(ParallelEar, SameEarCountAsSequential) {
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const graph::Graph g = gen2::random_biconnected(
-        20, static_cast<graph::EdgeId>(34 + seed), seed * 5);
-    const auto seq = ear_decomposition(g);
-    const auto par = parallel_ear_decomposition(g);
-    // Different valid decompositions, but always m - n + 1 ears.
-    EXPECT_EQ(par.ears.size(), seq.ears.size());
-    EXPECT_TRUE(par.open);
-  }
-}
-
-TEST(ParallelEar, PoolAndSerialAgree) {
-  const graph::Graph g =
-      gen2::subdivide(gen2::random_biconnected(24, 44, 3), 50, 4);
-  hetero::ThreadPool pool(3);
-  const auto serial = parallel_ear_decomposition(g);
-  const auto parallel = parallel_ear_decomposition(g, &pool);
-  ASSERT_EQ(serial.ears.size(), parallel.ears.size());
-  // The label rule is deterministic: identical decompositions either way.
-  EXPECT_EQ(serial.edge_ear, parallel.edge_ear);
-}
-
-TEST(ParallelEar, HandlesSelfLoopsAndParallels) {
-  graph::Builder b(3);
-  b.add_edge(0, 1);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 0);
-  b.add_edge(1, 1);
-  expect_valid_parallel_ed(std::move(b).build());
-}
-
-TEST(ParallelEar, RejectsBridgesAndDisconnected) {
-  EXPECT_THROW((void)parallel_ear_decomposition(gen2::path(4)),
-               std::invalid_argument);
-  graph::Builder b(6);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 0);
-  b.add_edge(3, 4);
-  b.add_edge(4, 5);
-  b.add_edge(5, 3);
-  EXPECT_THROW((void)parallel_ear_decomposition(std::move(b).build()),
-               std::invalid_argument);
-}
-
-TEST(ParallelEar, NotOpenAcrossCutVertex) {
-  graph::Builder b(5);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 0);
-  b.add_edge(2, 3);
-  b.add_edge(3, 4);
-  b.add_edge(4, 2);
-  const auto ed = parallel_ear_decomposition(std::move(b).build());
-  EXPECT_FALSE(ed.open);
-  EXPECT_EQ(ed.ears.size(), 2u);
 }
 
 }  // namespace
