@@ -1,8 +1,7 @@
 // SSSP/APSP kernel comparison on the kind of reduced graphs phase II
 // actually processes: binary-heap Dijkstra (the paper's CPU kernel), the
 // batched multi-source kernel, delta-stepping (workspace form, fanned out
-// over a shared pool), the device frontier kernel (Harish–Narayanan), and
-// the two Floyd–Warshall variants for the dense-table regime.
+// over a shared pool) and the device frontier kernel (Harish–Narayanan).
 //
 // Besides the google-benchmark timings, the binary always emits a
 // machine-readable ablation into bench_results/sssp_kernels.json: full
@@ -28,7 +27,6 @@
 #include "graph/generators.hpp"
 #include "reduce/reduced_graph.hpp"
 #include "sssp/delta_stepping.hpp"
-#include "sssp/device_floyd_warshall.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/frontier_sssp.hpp"
 #include "sssp/multi_source.hpp"
@@ -109,33 +107,11 @@ void BM_DeltaSteppingSweep(benchmark::State& state) {
   }
 }
 
-void BM_BlockedFloydWarshall(benchmark::State& state) {
-  const auto& g = reduced_graph();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sssp::blocked_floyd_warshall(g, static_cast<graph::VertexId>(
-                                            state.range(0))));
-  }
-}
-
-void BM_DeviceFloydWarshall(benchmark::State& state) {
-  const auto& g = reduced_graph();
-  hetero::Device dev({.workers = 2, .warp_size = 32});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sssp::device_floyd_warshall(
-        g, dev, static_cast<graph::VertexId>(state.range(0))));
-  }
-}
-
 BENCHMARK(BM_DijkstraSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultiSourceSweep)->Arg(4)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrontierSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeltaSteppingSweep)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BlockedFloydWarshall)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_DeviceFloydWarshall)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

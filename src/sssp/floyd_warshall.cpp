@@ -1,7 +1,5 @@
 #include "sssp/floyd_warshall.hpp"
 
-#include <algorithm>
-
 namespace eardec::sssp {
 
 DistanceMatrix adjacency_matrix(const Graph& g) {
@@ -30,68 +28,6 @@ DistanceMatrix floyd_warshall(const Graph& g) {
       for (VertexId j = 0; j < n; ++j) {
         const Weight cand = dik + row_k[j];
         if (cand < row_i[j]) row_i[j] = cand;
-      }
-    }
-  }
-  return d;
-}
-
-namespace {
-
-/// Relaxes tile (ib, jb) through pivot tiles (ib, kb) and (kb, jb).
-void relax_tile(DistanceMatrix& d, VertexId n, VertexId block, VertexId ib,
-                VertexId jb, VertexId kb) {
-  const VertexId i_end = std::min<VertexId>(ib + block, n);
-  const VertexId j_end = std::min<VertexId>(jb + block, n);
-  const VertexId k_end = std::min<VertexId>(kb + block, n);
-  for (VertexId k = kb; k < k_end; ++k) {
-    for (VertexId i = ib; i < i_end; ++i) {
-      const Weight dik = d.at(i, k);
-      if (dik == graph::kInfWeight) continue;
-      for (VertexId j = jb; j < j_end; ++j) {
-        const Weight cand = dik + d.at(k, j);
-        if (cand < d.at(i, j)) d.at(i, j) = cand;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-DistanceMatrix blocked_floyd_warshall(const Graph& g, VertexId block,
-                                      hetero::ThreadPool* pool) {
-  DistanceMatrix d = adjacency_matrix(g);
-  const VertexId n = d.size();
-  if (n == 0) return d;
-  block = std::max<VertexId>(1, std::min(block, n));
-  const VertexId tiles = (n + block - 1) / block;
-
-  for (VertexId round = 0; round < tiles; ++round) {
-    const VertexId kb = round * block;
-    // Phase 1: pivot tile.
-    relax_tile(d, n, block, kb, kb, kb);
-    // Phase 2: pivot row and column tiles.
-    for (VertexId t = 0; t < tiles; ++t) {
-      if (t == round) continue;
-      relax_tile(d, n, block, kb, t * block, kb);  // pivot row
-      relax_tile(d, n, block, t * block, kb, kb);  // pivot column
-    }
-    // Phase 3: the remaining tiles, independent of one another.
-    if (pool != nullptr) {
-      pool->parallel_for(0, static_cast<std::size_t>(tiles) * tiles,
-                         [&](std::size_t idx) {
-                           const auto ti = static_cast<VertexId>(idx / tiles);
-                           const auto tj = static_cast<VertexId>(idx % tiles);
-                           if (ti == round || tj == round) return;
-                           relax_tile(d, n, block, ti * block, tj * block, kb);
-                         });
-    } else {
-      for (VertexId ti = 0; ti < tiles; ++ti) {
-        if (ti == round) continue;
-        for (VertexId tj = 0; tj < tiles; ++tj) {
-          if (tj == round) continue;
-          relax_tile(d, n, block, ti * block, tj * block, kb);
-        }
       }
     }
   }

@@ -1,14 +1,14 @@
-// Floyd–Warshall APSP, plain and cache-blocked. Included as the classical
-// dense baseline the APSP literature (Buluc, Matsumoto, Katz — see the
-// paper's related work) builds on; practical here for the small reduced
-// graphs the ear decomposition produces.
+// The dense n x n distance matrix every APSP table is stored in, and
+// textbook Floyd–Warshall, the classical dense baseline the APSP literature
+// (Buluc, Matsumoto, Katz — see the paper's related work) builds on. Here it
+// is the independent oracle the APSP tests compare against.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "hetero/thread_pool.hpp"
 
 namespace eardec::sssp {
 
@@ -51,11 +51,5 @@ class DistanceMatrix {
 
 /// Textbook O(n^3) Floyd–Warshall.
 [[nodiscard]] DistanceMatrix floyd_warshall(const Graph& g);
-
-/// Cache-blocked Floyd–Warshall with block size `block`; rounds process the
-/// pivot tile, then its row/column tiles, then the remainder (optionally in
-/// parallel over tiles).
-[[nodiscard]] DistanceMatrix blocked_floyd_warshall(
-    const Graph& g, VertexId block = 64, hetero::ThreadPool* pool = nullptr);
 
 }  // namespace eardec::sssp

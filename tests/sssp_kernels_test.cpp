@@ -1,6 +1,6 @@
-// Tests for the alternative SSSP/APSP kernels: delta-stepping, the batched
-// multi-source kernel and the device blocked Floyd–Warshall. All must agree
-// exactly — bit for bit — with Dijkstra.
+// Tests for the alternative SSSP kernels: delta-stepping and the batched
+// multi-source kernel. Both must agree exactly — bit for bit — with
+// Dijkstra.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sssp/delta_stepping.hpp"
-#include "sssp/device_floyd_warshall.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/multi_source.hpp"
 #include "testing/families.hpp"
@@ -179,36 +178,6 @@ TEST(MultiSource, ReportsFrontierRounds) {
   ws.distances(g, 0, 1, out);
   EXPECT_GE(ws.last_rounds(), 4u);
   EXPECT_DOUBLE_EQ(out.at(0, 4), 4.0);
-}
-
-class DeviceFwTest : public ::testing::TestWithParam<graph::VertexId> {};
-
-TEST_P(DeviceFwTest, MatchesHostFloydWarshallAtEveryBlockSize) {
-  const graph::VertexId block = GetParam();
-  const Graph g = gen::random_connected(60, 140, 9);
-  hetero::Device dev({.workers = 2, .warp_size = 4});
-  const DistanceMatrix got = device_floyd_warshall(g, dev, block);
-  const DistanceMatrix ref = floyd_warshall(g);
-  for (graph::VertexId i = 0; i < g.num_vertices(); ++i) {
-    for (graph::VertexId j = 0; j < g.num_vertices(); ++j) {
-      ASSERT_NEAR(got.at(i, j), ref.at(i, j), 1e-9)
-          << "block " << block << " pair " << i << "," << j;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Blocks, DeviceFwTest,
-                         ::testing::Values(1u, 7u, 16u, 64u, 128u));
-
-TEST(DeviceFw, EmptyGraphAndKernelCount) {
-  hetero::Device dev({.workers = 1});
-  const DistanceMatrix d = device_floyd_warshall(Graph{}, dev);
-  EXPECT_EQ(d.size(), 0u);
-  // A graph with one tile launches exactly three kernels.
-  const Graph g = gen::cycle(8);
-  hetero::Device dev2({.workers = 1});
-  (void)device_floyd_warshall(g, dev2, 8);
-  EXPECT_EQ(dev2.kernels_launched(), 3u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for the SSSP/APSP kernels: Dijkstra (tree + workspace), the
-// device frontier kernel, and Floyd–Warshall (plain + blocked). The three
-// families must agree exactly with one another on every graph.
+// device frontier kernel, and Floyd–Warshall. The three must agree exactly
+// with one another on every graph.
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
@@ -120,23 +120,6 @@ TEST_P(KernelAgreementTest, FloydWarshallMatchesDijkstra) {
   }
 }
 
-TEST_P(KernelAgreementTest, BlockedMatchesPlainFloydWarshall) {
-  const std::uint64_t seed = GetParam();
-  const Graph g = gen::random_connected(
-      50, static_cast<graph::EdgeId>(90 + seed * 7), seed + 900);
-  const DistanceMatrix plain = floyd_warshall(g);
-  hetero::ThreadPool pool(2);
-  for (const VertexId block : {1u, 7u, 16u, 64u}) {
-    const DistanceMatrix blocked = blocked_floyd_warshall(g, block, &pool);
-    for (VertexId i = 0; i < g.num_vertices(); ++i) {
-      for (VertexId j = 0; j < g.num_vertices(); ++j) {
-        ASSERT_NEAR(blocked.at(i, j), plain.at(i, j), 1e-9)
-            << "block " << block;
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelAgreementTest,
                          ::testing::Range<std::uint64_t>(1, 7));
 
@@ -178,7 +161,7 @@ TEST(FloydWarshall, MatrixHelpers) {
 }
 
 TEST(FloydWarshall, EmptyGraph) {
-  const DistanceMatrix d = blocked_floyd_warshall(Graph{}, 8, nullptr);
+  const DistanceMatrix d = floyd_warshall(Graph{});
   EXPECT_EQ(d.size(), 0u);
 }
 
