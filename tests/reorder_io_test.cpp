@@ -1,15 +1,12 @@
-// Tests for vertex reordering and the binary graph format: permutation
-// correctness, distance invariance under relabeling, bandwidth reduction,
-// and binary round-trips with corruption handling.
+// Tests for vertex reordering: permutation correctness, distance invariance
+// under relabeling, and bandwidth reduction. (The EDG2 binary format has its
+// own suites: edg2_test and property_format_test.)
 #include <algorithm>
 #include <numeric>
 #include <random>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
-#include "graph/binary_io.hpp"
-#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "graph/reorder.hpp"
 #include "sssp/dijkstra.hpp"
@@ -97,65 +94,6 @@ TEST(Reorder, RejectsBadPermutations) {
   EXPECT_THROW((void)reorder_with(g, {0, 1, 2}), std::invalid_argument);
   EXPECT_THROW((void)reorder_with(g, {0, 1, 2, 2}), std::invalid_argument);
   EXPECT_THROW((void)reorder_with(g, {0, 1, 2, 9}), std::invalid_argument);
-}
-
-// ----------------------------------------------------------------- binary io
-
-TEST(BinaryIo, RoundTripPreservesEverything) {
-  const Graph g = gen::subdivide(gen::random_biconnected(30, 60, 3), 40, 4);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  io::write_binary(buf, g);
-  const Graph h = io::read_binary(buf);
-  ASSERT_EQ(h.num_vertices(), g.num_vertices());
-  ASSERT_EQ(h.num_edges(), g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(h.endpoints(e), g.endpoints(e));
-    EXPECT_DOUBLE_EQ(h.weight(e), g.weight(e));
-  }
-}
-
-TEST(BinaryIo, SelfLoopsAndParallelsSurvive) {
-  Builder b(3);
-  b.add_edge(0, 0, 2.5);
-  b.add_edge(1, 2, 1.0);
-  b.add_edge(1, 2, 3.0);
-  const Graph g = std::move(b).build();
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  io::write_binary(buf, g);
-  const Graph h = io::read_binary(buf);
-  EXPECT_EQ(h.num_self_loops(), 1u);
-  EXPECT_TRUE(h.has_parallel_edges());
-}
-
-TEST(BinaryIo, RejectsCorruption) {
-  std::stringstream bad1(std::string("NOPE"), std::ios::in | std::ios::binary);
-  EXPECT_THROW((void)io::read_binary(bad1), std::runtime_error);
-
-  const Graph g = gen::cycle(5);
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  io::write_binary(buf, g);
-  std::string data = buf.str();
-  // Truncate mid-weights.
-  std::stringstream bad2(data.substr(0, data.size() - 6),
-                         std::ios::in | std::ios::binary);
-  EXPECT_THROW((void)io::read_binary(bad2), std::runtime_error);
-  // Corrupt an endpoint beyond n.
-  data[4 + 8 + 8] = '\xff';
-  data[4 + 8 + 8 + 1] = '\xff';
-  data[4 + 8 + 8 + 2] = '\xff';
-  data[4 + 8 + 8 + 3] = '\xff';
-  std::stringstream bad3(data, std::ios::in | std::ios::binary);
-  EXPECT_THROW((void)io::read_binary(bad3), std::runtime_error);
-}
-
-TEST(BinaryIo, FileRoundTrip) {
-  const Graph g = gen::petersen();
-  const auto path = std::filesystem::temp_directory_path() / "eardec_t.edg";
-  io::write_binary_file(path, g);
-  const Graph h = io::read_binary_file(path);
-  EXPECT_EQ(h.num_edges(), 15u);
-  std::filesystem::remove(path);
-  EXPECT_THROW((void)io::read_binary_file(path), std::runtime_error);
 }
 
 }  // namespace

@@ -26,9 +26,8 @@
 //                                          SIGINT/SIGTERM or --serve-seconds
 //   eardec_cli version                     build provenance + feature flags
 //
-// Graphs by extension: *.mtx (Matrix Market), *.edg (binary EDG1), *.edg2
-// (packed CSR, zero-copy mmap load — see docs/scaling.md), anything else as
-// whitespace edge list.
+// Graphs by extension: *.mtx (Matrix Market), *.edg2 (packed CSR, zero-copy
+// mmap load — see docs/scaling.md), anything else as whitespace edge list.
 // Options:
 //   --mode=seq|mc|gpu|hetero   execution mode (default mc)
 //   --threads=N                CPU worker threads (default 4)
@@ -83,7 +82,6 @@
 #include "core/distance_oracle.hpp"
 #include "core/memory_model.hpp"
 #include "core/path.hpp"
-#include "graph/binary_io.hpp"
 #include "graph/datasets.hpp"
 #include "graph/edg2.hpp"
 #include "graph/generators.hpp"
@@ -112,9 +110,6 @@ graph::Graph load(const std::string& path, bool deep = false) {
   if (path.ends_with(".mtx")) {
     return graph::io::read_matrix_market_file(path);
   }
-  if (path.ends_with(".edg")) {
-    return graph::io::read_binary_file(path);
-  }
   if (path.ends_with(".edg2")) {
     return graph::io::read_edg2_file(path, deep ? graph::io::Edg2Validate::Deep
                                                 : graph::io::Edg2Validate::Shallow);
@@ -130,8 +125,6 @@ void save(const std::string& path, const graph::Graph& g,
     graph::io::write_matrix_market_file(path, g);
   } else if (path.ends_with(".edg2")) {
     graph::io::write_edg2_file(path, g, pool);
-  } else if (path.ends_with(".edg")) {
-    graph::io::write_binary_file(path, g);
   } else {
     std::ofstream out(path);
     if (!out) throw std::runtime_error("cannot open " + path);
@@ -333,7 +326,7 @@ int print_version() {
   std::printf("eardec_cli\n");
   std::printf("git_sha: %s\n", bench::build_git_sha());
   std::printf("bench_schema_version: %d\n", bench::kBenchSchemaVersion);
-  std::printf("graph_formats: mtx(rw) edgelist(rw) edg1(rw) edg2(v%u rw, "
+  std::printf("graph_formats: mtx(rw) edgelist(rw) edg2(v%u rw, "
               "mmap)\n",
               graph::io::kEdg2Version);
   std::printf("tracing: %s\n", obs::kTracingEnabled ? "on" : "off");
