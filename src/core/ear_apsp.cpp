@@ -570,9 +570,8 @@ struct EarApspEngine::Impl {
         });
   }
 
-  // The classification half of routed_distance, with the same node/AP
-  // derivation but no distance evaluation. Its legs compose as
-  // leg_u + ap_distance(ap_u, ap_v) + leg_v, exactly as query() does.
+  // The classification half of routed_distance: the same tree-node
+  // derivation, but no distance evaluation.
   [[nodiscard]] QueryRoute route(VertexId u, VertexId v) const {
     if (u >= g.num_vertices() || v >= g.num_vertices()) {
       throw std::out_of_range("EarApsp: vertex out of range");
@@ -589,26 +588,9 @@ struct EarApspEngine::Impl {
         cu != connectivity::kNoComponent ? bct->cut_node(cu) : bct->block_of(u);
     const std::uint32_t nv =
         cv != connectivity::kNoComponent ? bct->cut_node(cv) : bct->block_of(v);
-    if (nu == nv) {  // both plain vertices of the same block
-      rt.kind = QueryRoute::Kind::SameBlock;
-      rt.leg_u = {true, nu, local_of[nu].at(u), local_of[nv].at(v)};
-      return rt;
-    }
-    rt.kind = QueryRoute::Kind::CrossBlock;
-    rt.ap_u = cu != connectivity::kNoComponent
-                  ? u
-                  : bct->cut_vertices()[lca->next_on_path(nu, nv) -
-                                        bct->num_blocks()];
-    rt.ap_v = cv != connectivity::kNoComponent
-                  ? v
-                  : bct->cut_vertices()[lca->next_on_path(nv, nu) -
-                                        bct->num_blocks()];
-    if (cu == connectivity::kNoComponent) {
-      rt.leg_u = {true, nu, local_of[nu].at(u), local_of[nu].at(rt.ap_u)};
-    }
-    if (cv == connectivity::kNoComponent) {
-      rt.leg_v = {true, nv, local_of[nv].at(v), local_of[nv].at(rt.ap_v)};
-    }
+    // nu == nv: both plain vertices of the same block.
+    rt.kind = nu == nv ? QueryRoute::Kind::SameBlock
+                       : QueryRoute::Kind::CrossBlock;
     return rt;
   }
 };

@@ -108,23 +108,10 @@ struct QueryRoute {
   enum class Kind : std::uint8_t {
     Trivial,       ///< u == v: distance 0, nothing to evaluate
     Disconnected,  ///< different connected components: +infinity
-    SameBlock,     ///< one within-block evaluation (leg_u)
-    CrossBlock,    ///< leg_u + one AP-table hop + leg_v
-  };
-  /// One within-block evaluation d_block(block; local_from, local_to).
-  /// Absent legs contribute exactly 0 (the endpoint *is* the articulation
-  /// point it would route through).
-  struct Leg {
-    bool present = false;
-    std::uint32_t block = 0;
-    VertexId local_from = 0;
-    VertexId local_to = 0;
+    SameBlock,     ///< one within-block evaluation
+    CrossBlock,    ///< block leg + one AP-table hop + block leg
   };
   Kind kind = Kind::Trivial;
-  Leg leg_u;  ///< SameBlock: the whole query; CrossBlock: u -> first AP
-  Leg leg_v;  ///< CrossBlock only: v -> last AP
-  VertexId ap_u = 0;  ///< CrossBlock: first AP on the tree path (global id)
-  VertexId ap_v = 0;  ///< CrossBlock: last AP on the tree path (global id)
 };
 
 /// Shared engine: everything up to and including the reduced-graph APSP
@@ -160,11 +147,9 @@ class EarApspEngine {
   /// block_distance, cross-component pairs via the block-cut tree route.
   [[nodiscard]] Weight query(VertexId u, VertexId v) const;
 
-  /// Classifies the (u, v) query — same routing decisions as query(), but
-  /// no distance evaluation. Throws std::out_of_range like query(). The
-  /// route's legs compose as leg_u + ap_distance(ap_u, ap_v) + leg_v in
-  /// exactly that association (absent legs are literal 0), matching
-  /// query() bit for bit.
+  /// Classifies the (u, v) query — same routing decision as query(), but
+  /// no distance evaluation and no block-cut-tree walk. Throws
+  /// std::out_of_range like query().
   [[nodiscard]] QueryRoute route(VertexId u, VertexId v) const;
 
   /// Component-local id of global vertex `u` inside block `comp`; throws
