@@ -23,14 +23,14 @@ def linked(name, ts, dur, qid, span, parent, tid=1):
 
 def batch_tree(qid, ts=0, dur=1000):
     """One stitched oracle.batch query: root with classify/drain/recompose
-    phases and two leg units on another lane, drain finishing last."""
+    phases and two work units on another lane, drain finishing last."""
     return [
         linked("oracle.batch", ts, dur, qid, 1, 0),
         linked("oracle.classify", ts + 10, 100, qid, 2, 1),
         linked("oracle.drain", ts + 120, 700, qid, 3, 1),
         linked("oracle.recompose", ts + 830, 100, qid, 4, 1),
-        linked("oracle.leg_unit", ts + 150, 300, qid, 5, 1, tid=2),
-        linked("oracle.leg_unit", ts + 460, 200, qid, 6, 1, tid=2),
+        linked("oracle.work_unit", ts + 150, 300, qid, 5, 1, tid=2),
+        linked("oracle.work_unit", ts + 460, 200, qid, 6, 1, tid=2),
     ]
 
 
