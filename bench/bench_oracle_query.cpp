@@ -34,7 +34,7 @@
 
 #include "bench_common.hpp"
 
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/datasets.hpp"
 #include "sssp/dijkstra.hpp"
 
@@ -147,11 +147,11 @@ MethodResult run_method(
 /// Answers every pair of `mix` through all three methods and insists on
 /// bitwise agreement (integer weights: rounded-double arithmetic is exact,
 /// so any difference is a routing/evaluation bug, not noise).
-std::uint64_t check_agreement(const Mix& mix, const core::DistanceOracle& o,
+std::uint64_t check_agreement(const Mix& mix, const core::EarApspEngine& o,
                               const core::EarApsp& apsp) {
   std::uint64_t bad = 0;
   for (const auto& [s, t] : mix.pairs) {
-    const graph::Weight compact = o.distance(s, t);
+    const graph::Weight compact = o.query(s, t);
     const graph::Weight full = apsp.distance(s, t);
     const graph::Weight dij = dijkstra_row(s)[t];
     if (std::memcmp(&compact, &dij, sizeof(dij)) != 0 ||
@@ -207,9 +207,9 @@ int main(int argc, char** argv) {
   const auto& g = bench_graph();
   const core::ApspOptions opts{.mode = core::ExecutionMode::Multicore,
                                .cpu_threads = 3};
-  const core::DistanceOracle oracle(g, opts);
+  const core::EarApspEngine oracle(g, opts);
   const core::EarApsp apsp(g, opts);
-  const std::vector<Mix> mixes = build_mixes(oracle.engine());
+  const std::vector<Mix> mixes = build_mixes(oracle);
 
   std::uint64_t disagreements = 0;
   for (const Mix& mix : mixes) disagreements += check_agreement(mix, oracle, apsp);
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
     rows.push_back(run_method(
         "compact", smoke ? 5000 : 100000, mix,
         [&](graph::VertexId s, graph::VertexId t) {
-          return oracle.distance(s, t);
+          return oracle.query(s, t);
         }));
     rows.push_back(run_method(
         "full_table", smoke ? 5000 : 100000, mix,

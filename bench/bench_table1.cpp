@@ -9,7 +9,7 @@
 
 #include "bench_common.hpp"
 #include "connectivity/bcc.hpp"
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/datasets.hpp"
 
 int main() {
@@ -27,11 +27,11 @@ int main() {
     for (std::uint32_t c = 0; c < bcc.num_components; ++c) {
       largest_edges = std::max(largest_edges, bcc.component_edges(c).size());
     }
-    const core::DistanceOracle oracle(
+    const core::EarApspEngine oracle(
         g, bench::bench_apsp_options(core::ExecutionMode::Multicore));
     graph::VertexId removed = 0;
-    for (std::uint32_t c = 0; c < oracle.engine().num_components(); ++c) {
-      removed += oracle.engine().reduced(c).num_removed();
+    for (std::uint32_t c = 0; c < oracle.num_components(); ++c) {
+      removed += oracle.reduced(c).num_removed();
     }
     std::printf("%-18s %7u %7u %6u %8.2f%% %8.2f%% %9.2f %9.2f\n",
                 d.name.c_str(), g.num_vertices(), g.num_edges(),

@@ -1,6 +1,6 @@
 // Quickstart: the two flagship APIs in ~60 lines.
 //
-//   1. core::DistanceOracle — exact all-pairs shortest-path queries after
+//   1. core::EarApspEngine — exact all-pairs shortest-path queries after
 //      an ear-decomposition preprocessing pass.
 //   2. mcb::minimum_cycle_basis — minimum-weight cycle basis through the
 //      same reduction.
@@ -8,7 +8,7 @@
 // Build & run:  cmake --build build && ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/builder.hpp"
 #include "mcb/ear_mcb.hpp"
 
@@ -30,16 +30,15 @@ int main() {
   const graph::Graph g = std::move(b).build();
 
   // --- All-pairs shortest paths ------------------------------------------
-  const core::DistanceOracle oracle(
+  const core::EarApspEngine oracle(
       g, {.mode = core::ExecutionMode::Sequential});
-  std::printf("distance(0, 4) = %.1f  (0-1-2-3-4)\n", oracle.distance(0, 4));
-  std::printf("distance(1, 5) = %.1f\n", oracle.distance(1, 5));
+  std::printf("distance(0, 4) = %.1f  (0-1-2-3-4)\n", oracle.query(0, 4));
+  std::printf("distance(1, 5) = %.1f\n", oracle.query(1, 5));
 
-  const auto& eng = oracle.engine();
   std::printf("biconnected components: %u, SSSP runs after reduction: %llu "
               "(of %u vertices)\n",
-              eng.num_components(),
-              static_cast<unsigned long long>(eng.sssp_runs()),
+              oracle.num_components(),
+              static_cast<unsigned long long>(oracle.sssp_runs()),
               g.num_vertices());
 
   // --- Minimum cycle basis ------------------------------------------------

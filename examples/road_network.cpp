@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
 #include "sssp/dijkstra.hpp"
@@ -33,18 +33,17 @@ int main(int argc, char** argv) {
   std::printf("road network: %s\n", graph::to_string(stats).c_str());
 
   const auto t0 = Clock::now();
-  const core::DistanceOracle oracle(
+  const core::EarApspEngine oracle(
       roads,
       {.mode = core::ExecutionMode::Multicore, .cpu_threads = 4});
   const double build_s =
       std::chrono::duration<double>(Clock::now() - t0).count();
 
-  const auto& eng = oracle.engine();
   std::printf("preprocessing: %.3fs; reduced SSSP runs %llu / %u vertices "
               "(%.1f%% of the work removed by ear contraction)\n",
-              build_s, static_cast<unsigned long long>(eng.sssp_runs()),
+              build_s, static_cast<unsigned long long>(oracle.sssp_runs()),
               roads.num_vertices(),
-              100.0 * (1.0 - static_cast<double>(eng.sssp_runs()) /
+              100.0 * (1.0 - static_cast<double>(oracle.sssp_runs()) /
                                  roads.num_vertices()));
   std::printf("oracle memory: %.2f MB (paper layout %.2f MB, dense n^2 "
               "table %.2f MB)\n",
@@ -56,7 +55,7 @@ int main(int argc, char** argv) {
   for (const auto& [s, t] : {std::pair<graph::VertexId, graph::VertexId>{0, n - 1},
                             {n / 3, 2 * n / 3},
                             {1, n / 2}}) {
-    const graph::Weight fast = oracle.distance(s, t);
+    const graph::Weight fast = oracle.query(s, t);
     const graph::Weight ref = sssp::dijkstra(roads, s).dist[t];
     std::printf("route %u -> %u: %.1f (check: %.1f)\n", s, t, fast, ref);
   }

@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "baselines/banerjee_apsp.hpp"
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/datasets.hpp"
 #include "graph/stats.hpp"
 #include "sssp/dijkstra.hpp"
@@ -26,22 +26,21 @@ int main() {
                                .device = {.workers = 2}};
 
   auto t0 = Clock::now();
-  const core::DistanceOracle ours(g, opts);
+  const core::EarApspEngine ours(g, opts);
   const double ours_s = std::chrono::duration<double>(Clock::now() - t0).count();
 
   t0 = Clock::now();
   const baselines::BanerjeeApsp baseline(g, opts);
   const double base_s = std::chrono::duration<double>(Clock::now() - t0).count();
 
-  const auto& eng = ours.engine();
   std::printf("decomposition: %u biconnected components, %zu articulation "
               "points\n",
-              eng.num_components(), eng.bcc().num_articulation_points());
+              ours.num_components(), ours.bcc().num_articulation_points());
   std::printf("SSSP runs: ours %llu vs baseline %llu (ear contraction "
               "removed %.1f%% of the sources)\n",
-              static_cast<unsigned long long>(eng.sssp_runs()),
+              static_cast<unsigned long long>(ours.sssp_runs()),
               static_cast<unsigned long long>(baseline.sssp_runs()),
-              100.0 * (1.0 - static_cast<double>(eng.sssp_runs()) /
+              100.0 * (1.0 - static_cast<double>(ours.sssp_runs()) /
                                  static_cast<double>(baseline.sssp_runs())));
   std::printf("preprocess: ours %.3fs, baseline %.3fs (%.2fx)\n", ours_s,
               base_s, base_s / ours_s);
@@ -49,9 +48,9 @@ int main() {
               ours.memory().ours_mb(), ours.memory().compact_mb(),
               ours.memory().full_mb());
   std::printf("hetero split: %llu units on CPU, %llu on device\n",
-              static_cast<unsigned long long>(eng.scheduler_stats().cpu_units),
+              static_cast<unsigned long long>(ours.scheduler_stats().cpu_units),
               static_cast<unsigned long long>(
-                  eng.scheduler_stats().device_units));
+                  ours.scheduler_stats().device_units));
 
   // Cross-community queries (routing through articulation members),
   // validated against Dijkstra.
@@ -60,7 +59,7 @@ int main() {
                             {n / 5, 4 * n / 5}}) {
     const auto ref = sssp::dijkstra(g, s);
     std::printf("separation(%u, %u) = %.1f (check %.1f, baseline %.1f)\n", s,
-                t, ours.distance(s, t), ref.dist[t], baseline.distance(s, t));
+                t, ours.query(s, t), ref.dist[t], baseline.distance(s, t));
   }
   return 0;
 }

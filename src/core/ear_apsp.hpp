@@ -16,9 +16,9 @@
 // Two query products are offered:
 //   * EarApsp          — paper-faithful: materializes every A_i (memory
 //                        O(a^2 + Σ n_i^2), Table 1's "Our's Memory").
-//   * DistanceOracle   — compact extension (distance_oracle.hpp): stores only
-//                        the reduced tables and evaluates the left/right
-//                        formulas per query (memory O(a^2 + Σ (n^r_i)^2)).
+//   * EarApspEngine    — compact extension: query() reads only the reduced
+//                        tables and evaluates the left/right formulas per
+//                        query (memory O(a^2 + Σ (n^r_i)^2)).
 #pragma once
 
 #include <algorithm>
@@ -118,7 +118,7 @@ struct QueryRoute {
 /// tables and the articulation-point table. Both query products build on it.
 class EarApspEngine {
  public:
-  EarApspEngine(const Graph& g, const ApspOptions& options);
+  EarApspEngine(const Graph& g, const ApspOptions& options = {});
   ~EarApspEngine();
   EarApspEngine(EarApspEngine&&) noexcept;
   EarApspEngine& operator=(EarApspEngine&&) noexcept;

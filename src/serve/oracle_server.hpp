@@ -1,5 +1,5 @@
 // Online distance-oracle serving — the read-mostly query layer on top of
-// the compact DistanceOracle (see docs/serving.md).
+// the compact EarApspEngine queries (see docs/serving.md).
 //
 // OracleServer owns an immutable OracleSnapshot behind a shared_ptr: every
 // reader pins the snapshot it resolves (snapshot() or implicitly per
@@ -31,7 +31,7 @@
 #include <span>
 #include <vector>
 
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/graph.hpp"
 
 namespace eardec::serve {
@@ -59,26 +59,23 @@ class OracleSnapshot {
  public:
   OracleSnapshot(graph::Graph g, const core::ApspOptions& build,
                  std::uint64_t epoch)
-      : epoch_(epoch), graph_(std::move(g)), oracle_(graph_, build) {}
+      : epoch_(epoch), graph_(std::move(g)), engine_(graph_, build) {}
 
   [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
   [[nodiscard]] const graph::Graph& graph() const noexcept { return graph_; }
-  [[nodiscard]] const core::DistanceOracle& oracle() const noexcept {
-    return oracle_;
-  }
   [[nodiscard]] const core::EarApspEngine& engine() const noexcept {
-    return oracle_.engine();
+    return engine_;
   }
   /// Closed-form compact query on this snapshot (no metrics, no epoch
   /// resolution — the raw building block readers pin and hammer).
   [[nodiscard]] Weight query(VertexId s, VertexId t) const {
-    return oracle_.distance(s, t);
+    return engine_.query(s, t);
   }
 
  private:
   std::uint64_t epoch_;
   graph::Graph graph_;
-  core::DistanceOracle oracle_;
+  core::EarApspEngine engine_;
 };
 
 class OracleServer {

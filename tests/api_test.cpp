@@ -3,7 +3,6 @@
 // and the smaller helpers the feature tests exercise only incidentally.
 #include <gtest/gtest.h>
 
-#include "core/distance_oracle.hpp"
 #include "core/ear_apsp.hpp"
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
@@ -123,7 +122,7 @@ TEST(ApiMemory, HelpersAreConsistent) {
                                    .small_block_max = 4,
                                    .intra_degree = 3.0},
                                   7);
-  const core::DistanceOracle oracle(g, {.mode = core::ExecutionMode::Sequential});
+  const core::EarApspEngine oracle(g, {.mode = core::ExecutionMode::Sequential});
   const auto& mu = oracle.memory();
   EXPECT_EQ(mu.ours_bytes(), mu.block_tables_bytes + mu.ap_table_bytes);
   EXPECT_DOUBLE_EQ(mu.ours_mb() * 1024 * 1024,

@@ -9,7 +9,7 @@
 #include "baselines/banerjee_apsp.hpp"
 #include "baselines/djidjev_apsp.hpp"
 #include "baselines/plain_apsp.hpp"
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "partition/bfs_grow.hpp"
@@ -144,8 +144,8 @@ TEST(Banerjee, RunsMoreSsspThanEarPipeline) {
   // baseline runs one SSSP per (core) vertex, the ear pipeline far fewer.
   Graph g = gen::subdivide(gen::random_biconnected(20, 40, 3), 80, 4);
   const BanerjeeApsp baseline(g, {.mode = ExecutionMode::Sequential});
-  const core::DistanceOracle ours(g, {.mode = ExecutionMode::Sequential});
-  EXPECT_GT(baseline.sssp_runs(), ours.engine().sssp_runs() * 3);
+  const core::EarApspEngine ours(g, {.mode = ExecutionMode::Sequential});
+  EXPECT_GT(baseline.sssp_runs(), ours.sssp_runs() * 3);
 }
 
 // ---------------------------------------------------------------- Djidjev

@@ -1,5 +1,5 @@
-// Tests for the ear-decomposition APSP core: TreeLca, EarApspEngine,
-// EarApsp (full tables), DistanceOracle (compact), the memory model, and
+// Tests for the ear-decomposition APSP core: TreeLca, EarApspEngine
+// (compact queries), EarApsp (full tables), the memory model, and
 // exact agreement with brute-force Dijkstra APSP across graph families,
 // execution modes, and seeds.
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 
 #include "connectivity/block_cut_tree.hpp"
 #include "connectivity/tree_lca.hpp"
-#include "core/distance_oracle.hpp"
 #include "core/ear_apsp.hpp"
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
@@ -37,13 +36,13 @@ using graph::Graph;
 
 void expect_matches_dijkstra(const Graph& g, const ApspOptions& opts,
                              bool check_full_tables = true) {
-  const DistanceOracle oracle(g, opts);
+  const EarApspEngine oracle(g, opts);
   std::optional<EarApsp> full;
   if (check_full_tables) full.emplace(g, opts);
   for (graph::VertexId s = 0; s < g.num_vertices(); ++s) {
     const auto ref = sssp::dijkstra(g, s);
     for (graph::VertexId t = 0; t < g.num_vertices(); ++t) {
-      ASSERT_NEAR_OR_BOTH_INF(oracle.distance(s, t), ref.dist[t], s, t);
+      ASSERT_NEAR_OR_BOTH_INF(oracle.query(s, t), ref.dist[t], s, t);
       if (full) {
         ASSERT_NEAR_OR_BOTH_INF(full->distance(s, t), ref.dist[t], s, t);
       }
@@ -151,13 +150,13 @@ TEST(EarApsp, CrossBlockFormulaBoundaries) {
   // term, including the boundary cases where an endpoint IS one of the
   // articulation points (the corresponding term must vanish).
   const Graph g = three_block_path();
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
-  EXPECT_DOUBLE_EQ(oracle.distance(0, 5), 6.5);  // 1.5 + 4 + 1
-  EXPECT_DOUBLE_EQ(oracle.distance(0, 6), 7.5);  // 1.5 + 4 + 2
-  EXPECT_DOUBLE_EQ(oracle.distance(2, 5), 5.0);  // n1 == a1: first term 0
-  EXPECT_DOUBLE_EQ(oracle.distance(1, 4), 5.0);  // n2 == a2: last term 0
-  EXPECT_DOUBLE_EQ(oracle.distance(2, 4), 4.0);  // both endpoints cuts
-  EXPECT_DOUBLE_EQ(oracle.distance(3, 1), 3.0);  // adjacent blocks only
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
+  EXPECT_DOUBLE_EQ(oracle.query(0, 5), 6.5);  // 1.5 + 4 + 1
+  EXPECT_DOUBLE_EQ(oracle.query(0, 6), 7.5);  // 1.5 + 4 + 2
+  EXPECT_DOUBLE_EQ(oracle.query(2, 5), 5.0);  // n1 == a1: first term 0
+  EXPECT_DOUBLE_EQ(oracle.query(1, 4), 5.0);  // n2 == a2: last term 0
+  EXPECT_DOUBLE_EQ(oracle.query(2, 4), 4.0);  // both endpoints cuts
+  EXPECT_DOUBLE_EQ(oracle.query(3, 1), 3.0);  // adjacent blocks only
   expect_matches_dijkstra(g, {.mode = ExecutionMode::Sequential});
 }
 
@@ -165,12 +164,12 @@ TEST(EarApsp, QueryEndpointIsArticulationPoint) {
   // Every pair with an articulation endpoint, against Dijkstra, in both
   // directions — the routing code takes a distinct branch for these.
   const Graph g = three_block_path();
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
   for (const graph::VertexId a : {2u, 4u}) {
     const auto ref = sssp::dijkstra(g, a);
     for (graph::VertexId t = 0; t < g.num_vertices(); ++t) {
-      EXPECT_DOUBLE_EQ(oracle.distance(a, t), ref.dist[t]);
-      EXPECT_DOUBLE_EQ(oracle.distance(t, a), ref.dist[t]);
+      EXPECT_DOUBLE_EQ(oracle.query(a, t), ref.dist[t]);
+      EXPECT_DOUBLE_EQ(oracle.query(t, a), ref.dist[t]);
     }
   }
 }
@@ -232,9 +231,9 @@ TEST(EarApsp, ArticulationPointWithLocalDegreeTwoIsKept) {
   // Pendant at 7 for good measure.
   b.add_edge(0, 7, 2.0);
   const Graph g = std::move(b).build();
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
   // Sanity on the structural claim: 2 is an AP kept in the reduced graphs.
-  EXPECT_TRUE(oracle.engine().bcc().is_articulation[2]);
+  EXPECT_TRUE(oracle.bcc().is_articulation[2]);
   expect_matches_dijkstra(g, {.mode = ExecutionMode::Sequential});
 }
 
@@ -331,14 +330,13 @@ TEST(EarApsp, MatrixMatchesPerPairQueries) {
 
 TEST(EarApsp, TimingsAndStatsPopulated) {
   const Graph g = gen::subdivide(gen::random_biconnected(20, 40, 5), 60, 6);
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
-  const auto& eng = oracle.engine();
-  EXPECT_EQ(eng.num_components(), 1u);
-  EXPECT_GT(eng.sssp_runs(), 0u);
-  EXPECT_EQ(eng.sssp_runs(), eng.reduced(0).graph().num_vertices());
-  EXPECT_LT(eng.sssp_runs(), g.num_vertices());  // ears actually helped
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
+  EXPECT_EQ(oracle.num_components(), 1u);
+  EXPECT_GT(oracle.sssp_runs(), 0u);
+  EXPECT_EQ(oracle.sssp_runs(), oracle.reduced(0).graph().num_vertices());
+  EXPECT_LT(oracle.sssp_runs(), g.num_vertices());  // ears actually helped
   EXPECT_GE(oracle.timings().total(), 0.0);
-  EXPECT_GT(eng.scheduler_stats().cpu_units, 0u);
+  EXPECT_GT(oracle.scheduler_stats().cpu_units, 0u);
 }
 
 TEST(EarApsp, MemoryModelOrdering) {
@@ -351,7 +349,7 @@ TEST(EarApsp, MemoryModelOrdering) {
                              .pendants = 10},
                             3);
   g = gen::subdivide(g, 150, 4);
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
   const MemoryUsage& mu = oracle.memory();
   EXPECT_LT(mu.ours_bytes(), mu.full_table_bytes);
   EXPECT_LT(mu.compact_tables_bytes, mu.block_tables_bytes);
@@ -362,8 +360,8 @@ TEST(EarApsp, MemoryModelOrdering) {
 
 TEST(EarApsp, QueriesValidateArguments) {
   const Graph g = gen::cycle(4);
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
-  EXPECT_THROW((void)oracle.distance(0, 4), std::out_of_range);
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
+  EXPECT_THROW((void)oracle.query(0, 4), std::out_of_range);
   const EarApsp full(g, {.mode = ExecutionMode::Sequential});
   EXPECT_THROW((void)full.distance(4, 0), std::out_of_range);
 }
@@ -382,8 +380,7 @@ TEST(EarApsp, RouteKindMatchesBlockCutTreeOnAllPairs) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
       SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
       const Graph g = eardec::testing::family(name).make(seed, 24);
-      const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
-      const EarApspEngine& eng = oracle.engine();
+      const EarApspEngine eng(g, {.mode = ExecutionMode::Sequential});
       const connectivity::BlockCutTree& bct = eng.block_cut_tree();
       const auto is_ap = [&](graph::VertexId x) {
         return bct.cut_index(x) != connectivity::kNoComponent;
@@ -428,7 +425,7 @@ TEST(EarApsp, DatasetSmallGraphsExact) {
   for (const char* name : {"as-22july06", "c-50", "Planar_2"}) {
     SCOPED_TRACE(name);
     const Graph g = graph::datasets::by_name(name).make_small();
-    const DistanceOracle oracle(
+    const EarApspEngine oracle(
         g, {.mode = ExecutionMode::Multicore, .cpu_threads = 2});
     // Spot-check sources (full check would be slow at this size).
     for (graph::VertexId s = 0; s < g.num_vertices();
@@ -436,9 +433,9 @@ TEST(EarApsp, DatasetSmallGraphsExact) {
       const auto ref = sssp::dijkstra(g, s);
       for (graph::VertexId t = 0; t < g.num_vertices(); ++t) {
         if (ref.dist[t] == graph::kInfWeight) {
-          ASSERT_EQ(oracle.distance(s, t), graph::kInfWeight);
+          ASSERT_EQ(oracle.query(s, t), graph::kInfWeight);
         } else {
-          ASSERT_NEAR(oracle.distance(s, t), ref.dist[t], 1e-6)
+          ASSERT_NEAR(oracle.query(s, t), ref.dist[t], 1e-6)
               << s << "->" << t;
         }
       }
@@ -465,9 +462,9 @@ TEST_P(RowQueryTest, DistancesFromMatchesDijkstraRow) {
                                      .pendants = 5},
                                     seed + 400);
   g = genr::subdivide(g, 25, seed + 401);
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
   for (graph::VertexId u = 0; u < g.num_vertices(); u += 6) {
-    const auto row = oracle.engine().distances_from(u);
+    const auto row = oracle.distances_from(u);
     const auto ref = sssp::dijkstra(g, u);
     ASSERT_EQ(row.size(), g.num_vertices());
     for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -488,14 +485,14 @@ TEST(RowQuery, IsolatedAndDisconnected) {
   b.add_edge(0, 1, 2.0);
   b.add_edge(1, 2, 3.0);
   const graph::Graph g = std::move(b).build();  // 3, 4 isolated
-  const DistanceOracle oracle(g, {.mode = ExecutionMode::Sequential});
-  const auto row = oracle.engine().distances_from(3);
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
+  const auto row = oracle.distances_from(3);
   EXPECT_DOUBLE_EQ(row[3], 0.0);
   EXPECT_EQ(row[0], graph::kInfWeight);
-  const auto row0 = oracle.engine().distances_from(0);
+  const auto row0 = oracle.distances_from(0);
   EXPECT_DOUBLE_EQ(row0[2], 5.0);
   EXPECT_EQ(row0[4], graph::kInfWeight);
-  EXPECT_THROW((void)oracle.engine().distances_from(5), std::out_of_range);
+  EXPECT_THROW((void)oracle.distances_from(5), std::out_of_range);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/distance_oracle.hpp"
+#include "core/ear_apsp.hpp"
 #include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
@@ -49,12 +49,12 @@ TEST_P(MetamorphicTest, ScalingWeightsScalesDistancesLinearly) {
   const std::uint64_t seed = GetParam();
   Graph g = gen::subdivide(gen::random_biconnected(12, 20, seed), 20, seed + 9);
   const Graph scaled = scale_weights(g, 3.5);
-  const core::DistanceOracle o1(g, {.mode = core::ExecutionMode::Sequential});
-  const core::DistanceOracle o2(scaled,
+  const core::EarApspEngine o1(g, {.mode = core::ExecutionMode::Sequential});
+  const core::EarApspEngine o2(scaled,
                                 {.mode = core::ExecutionMode::Sequential});
   for (VertexId s = 0; s < g.num_vertices(); s += 3) {
     for (VertexId t = 0; t < g.num_vertices(); t += 5) {
-      EXPECT_NEAR(o2.distance(s, t), 3.5 * o1.distance(s, t), 1e-6);
+      EXPECT_NEAR(o2.query(s, t), 3.5 * o1.query(s, t), 1e-6);
     }
   }
 }
@@ -69,13 +69,13 @@ TEST_P(MetamorphicTest, AddingAnEdgeNeverIncreasesAnyDistance) {
   VertexId v = pick(rng);
   if (u == v) v = (v + 1) % g.num_vertices();
   const Graph h = add_edge(g, u, v, 2.0);
-  const core::DistanceOracle before(g,
+  const core::EarApspEngine before(g,
                                     {.mode = core::ExecutionMode::Sequential});
-  const core::DistanceOracle after(h,
+  const core::EarApspEngine after(h,
                                    {.mode = core::ExecutionMode::Sequential});
   for (VertexId s = 0; s < g.num_vertices(); s += 2) {
     for (VertexId t = 0; t < g.num_vertices(); t += 3) {
-      EXPECT_LE(after.distance(s, t), before.distance(s, t) + 1e-9);
+      EXPECT_LE(after.query(s, t), before.query(s, t) + 1e-9);
     }
   }
 }
@@ -85,12 +85,12 @@ TEST_P(MetamorphicTest, SubdividingPreservesOriginalPairDistances) {
   const Graph g = gen::random_biconnected(
       14, static_cast<graph::EdgeId>(22 + seed % 8), seed + 80);
   const Graph sub = gen::subdivide(g, 30, seed + 81);
-  const core::DistanceOracle o1(g, {.mode = core::ExecutionMode::Sequential});
-  const core::DistanceOracle o2(sub,
+  const core::EarApspEngine o1(g, {.mode = core::ExecutionMode::Sequential});
+  const core::EarApspEngine o2(sub,
                                 {.mode = core::ExecutionMode::Sequential});
   for (VertexId s = 0; s < g.num_vertices(); ++s) {
     for (VertexId t = 0; t < g.num_vertices(); ++t) {
-      EXPECT_NEAR(o1.distance(s, t), o2.distance(s, t), 1e-6);
+      EXPECT_NEAR(o1.query(s, t), o2.query(s, t), 1e-6);
     }
   }
 }
@@ -143,12 +143,12 @@ TEST_P(MetamorphicTest, ParallelRunsAreDeterministic) {
   const core::ApspOptions opts{.mode = core::ExecutionMode::Heterogeneous,
                                .cpu_threads = 3,
                                .device = {.workers = 2}};
-  const core::DistanceOracle a(g, opts);
-  const core::DistanceOracle b(g, opts);
+  const core::EarApspEngine a(g, opts);
+  const core::EarApspEngine b(g, opts);
   for (VertexId s = 0; s < g.num_vertices(); s += 4) {
     for (VertexId t = 0; t < g.num_vertices(); t += 3) {
       // Bitwise identical: the distances do not depend on scheduling.
-      EXPECT_EQ(a.distance(s, t), b.distance(s, t));
+      EXPECT_EQ(a.query(s, t), b.query(s, t));
     }
   }
 }
@@ -164,15 +164,15 @@ TEST(Integration, AllTable1DatasetsBuildOraclesAndValidate) {
   for (const auto& d : graph::datasets::table1()) {
     SCOPED_TRACE(d.name);
     const Graph g = d.make_small();
-    const core::DistanceOracle oracle(
+    const core::EarApspEngine oracle(
         g, {.mode = core::ExecutionMode::Multicore, .cpu_threads = 2});
     const auto ref = sssp::dijkstra(g, 0);
     for (VertexId t = 0; t < g.num_vertices();
          t += std::max<VertexId>(1, g.num_vertices() / 23)) {
       if (ref.dist[t] == graph::kInfWeight) {
-        ASSERT_EQ(oracle.distance(0, t), graph::kInfWeight);
+        ASSERT_EQ(oracle.query(0, t), graph::kInfWeight);
       } else {
-        ASSERT_NEAR(oracle.distance(0, t), ref.dist[t], 1e-6) << t;
+        ASSERT_NEAR(oracle.query(0, t), ref.dist[t], 1e-6) << t;
       }
     }
     const auto mcb = mcb::minimum_cycle_basis(
