@@ -10,7 +10,7 @@
 //     orthogonalization, word-range early-exit, sparse supports);
 //   * depina_mcb_reference — the pre-overhaul one-BitVector-at-a-time
 //     scalar loop, kept verbatim as the differential-fuzz oracle for the
-//     optimized kernels (testing/oracles.cpp).
+//     optimized kernels (tests/testing/oracles.cpp).
 // Both are exact and must produce bit-for-bit identical bases.
 #pragma once
 
