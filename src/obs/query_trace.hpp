@@ -39,16 +39,14 @@ namespace eardec::obs {
 /// Latency attribution components every answered query decomposes into
 /// (exported as oracle.serve.attr.<name>_ns histograms; the components are
 /// contiguous, so their per-query sum equals the open-loop latency).
-inline constexpr std::size_t kNumAttrComponents = 5;
+inline constexpr std::size_t kNumAttrComponents = 3;
 inline constexpr const char* kAttrComponentNames[kNumAttrComponents] = {
-    "queue_wait", "schedule", "kernel", "recompose", "write",
+    "queue_wait", "kernel", "write",
 };
 enum class AttrComponent : std::size_t {
   kQueueWait = 0,  ///< scheduled arrival -> server entry
-  kSchedule = 1,   ///< classification + leg grouping + unit build
-  kKernel = 2,     ///< hetero drain / oracle lookup
-  kRecompose = 3,  ///< leg recomposition into distances
-  kWrite = 4,      ///< reply serialization / result handoff
+  kKernel = 1,     ///< closed-form evaluation on the pinned snapshot
+  kWrite = 2,      ///< reply serialization / result handoff
 };
 
 /// One collected span (a TraceEvent reduced to what the exemplar store

@@ -214,7 +214,7 @@ SERVE_CELL_KEYS = ("mix", "path", "queries", "batch", "target_qps",
                    "p99_ns", "open_mean_ns", "open_p50_ns", "open_p90_ns",
                    "open_p99_ns", "sampled", "mismatches", "attr")
 SERVE_PATHS = ("scalar", "batch")
-ATTR_COMPONENTS = ("queue_wait", "schedule", "kernel", "recompose", "write")
+ATTR_COMPONENTS = ("queue_wait", "kernel", "write")
 ATTR_STAT_KEYS = ("mean_ns", "p50_ns", "p90_ns", "p99_ns")
 ATTR_SUM_TOLERANCE = 0.10
 
@@ -223,9 +223,8 @@ def check_attr_block(cell, path, i):
     """The latency-attribution contract: every component histogram present
     with internally monotone quantiles, and the component means chaining
     gaplessly — their sum must reproduce the open-loop mean within 10% on
-    every cell (arrival -> entry -> schedule -> kernel -> recompose ->
-    write is a partition of the open-loop interval, not a sampling of
-    it)."""
+    every cell (arrival -> entry -> kernel -> write is a partition of the
+    open-loop interval, not a sampling of it)."""
     attr = cell["attr"]
     require(isinstance(attr, dict), f"{path}: cells[{i}].attr not a dict")
     component_sum = 0.0
