@@ -150,7 +150,7 @@ void measure_graph(const std::string& name, const graph::Graph& g, bool smoke,
   };
 
   {
-    EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block");
+    EARDEC_TRACE_SCOPE("apsp.sssp_block");
     sssp::DijkstraWorkspace ws(n);
     std::vector<graph::Weight> dist(n);
     add("dijkstra", 1, best_seconds(reps, [&] {
@@ -159,7 +159,7 @@ void measure_graph(const std::string& name, const graph::Graph& g, bool smoke,
         0);
   }
   {
-    EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block");
+    EARDEC_TRACE_SCOPE("apsp.sssp_block");
     sssp::DeltaSteppingWorkspace ws(n);
     std::vector<graph::Weight> dist(n);
     add("delta", 1, best_seconds(reps, [&] {
@@ -175,7 +175,7 @@ void measure_graph(const std::string& name, const graph::Graph& g, bool smoke,
       smoke ? std::vector<std::uint32_t>{1, 4, 8}
             : std::vector<std::uint32_t>{1, 4, 8, 16, 32};
   for (const std::uint32_t k : widths) {
-    EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block");
+    EARDEC_TRACE_SCOPE("apsp.sssp_block");
     ws.ensure(n, k);
     // Sequence the measurement before reading last_rounds(): function
     // argument evaluation order would otherwise be free to read it first.

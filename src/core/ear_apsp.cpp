@@ -8,7 +8,7 @@
 
 #include "connectivity/dfs.hpp"
 #include "obs/phase.hpp"
-#include "obs/pmu.hpp"
+#include "obs/trace.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/frontier_sssp.hpp"
@@ -226,7 +226,7 @@ struct EarApspEngine::Impl {
     };
 
     const auto cpu_fn = [&](const hetero::WorkUnit& wu, unsigned worker) {
-      EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block", "comp", units[wu.id].comp);
+      EARDEC_TRACE_SCOPE("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
       const Graph& rg = reduced[u.comp].graph();
       if (use_multi_source(u.src_end - u.src_begin, rg.num_vertices())) {
@@ -243,7 +243,7 @@ struct EarApspEngine::Impl {
       }
     };
     const auto device_fn = [&](const hetero::WorkUnit& wu, unsigned) {
-      EARDEC_TRACE_SCOPE_PMU("apsp.sssp_block", "comp", units[wu.id].comp);
+      EARDEC_TRACE_SCOPE("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
       const Graph& rg = reduced[u.comp].graph();
       for (VertexId s = u.src_begin; s < u.src_end; ++s) {

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "obs/pmu.hpp"
 #include "obs/trace.hpp"
 
 namespace eardec::hetero {
@@ -54,20 +53,12 @@ WorkerStats drain(WorkQueue& queue, bool heavy, unsigned participants,
                              : queue.take_light(batch);
     if (units.empty()) return ws;
     batch_sizes.record(units.size());
-    // Explicit PMU bracket (rather than PmuScopedSpan) so the span keeps
-    // the exact t0/t1 the busy-seconds bookkeeping below uses.
-    obs::PmuEngine& pmu = obs::PmuEngine::instance();
-    obs::PmuSample pmu_begin;
-    const bool pmu_live = pmu.active() && pmu.read(pmu_begin);
+    // Explicit span (rather than EARDEC_TRACE_SCOPE) so it keeps the exact
+    // t0/t1 the busy-seconds bookkeeping below uses.
     const std::uint64_t t0 = obs::Tracer::now_ns();
     for (const WorkUnit& unit : units) fn(unit, worker);
     const std::uint64_t t1 = obs::Tracer::now_ns();
-    if (pmu_live) {
-      pmu.finish_scope(span_name, t0, t1 - t0, pmu_begin, "units",
-                       units.size());
-    } else {
-      tracer.record_span(span_name, t0, t1 - t0, "units", units.size());
-    }
+    tracer.record_span(span_name, t0, t1 - t0, "units", units.size());
     ws.busy_seconds += static_cast<double>(t1 - t0) * 1e-9;
     ws.units += units.size();
     ++ws.claims;

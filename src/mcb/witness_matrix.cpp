@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/pmu.hpp"
 #include "obs/trace.hpp"
 
 namespace eardec::mcb {
@@ -191,7 +190,7 @@ Gf2KernelStats WitnessMatrix::orthogonalize(std::size_t pivot,
                                             std::size_t end) {
   Gf2KernelStats st;
   if (begin >= end) return st;
-  EARDEC_TRACE_SCOPE_PMU("mcb.gf2.orthogonalize", "rows", end - begin);
+  EARDEC_TRACE_SCOPE("mcb.gf2.orthogonalize", "rows", end - begin);
   st.cpu_rows += end - begin;
 
   const auto cw = ci.words();

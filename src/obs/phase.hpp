@@ -6,10 +6,7 @@
 //   1. accumulates the elapsed seconds into the caller's stats field
 //      (so repeated phases — MCB iterations — sum naturally),
 //   2. publishes the accumulated total to a named registry gauge,
-//   3. records a span on the tracer timeline (when tracing is on) —
-//      through a PmuScopedSpan, so when the PMU engine is armed the span
-//      carries counter deltas and the phase gets derived
-//      `pmu.<span>.{ipc,cache_miss_rate}` gauges for free.
+//   3. records a span on the tracer timeline (when tracing is on).
 // One measurement, three consumers — the struct fields, `--metrics`, and
 // `--trace` can never disagree about a phase again.
 #pragma once
@@ -17,7 +14,6 @@
 #include <cstdint>
 
 #include "obs/metrics.hpp"
-#include "obs/pmu.hpp"
 #include "obs/trace.hpp"
 
 namespace eardec::obs {
@@ -38,8 +34,8 @@ class ScopedPhase {
     const std::uint64_t end_ns = Tracer::now_ns();
     out_ += static_cast<double>(end_ns - start_ns_) * 1e-9;
     MetricsRegistry::instance().gauge(gauge_name_).set(out_);
-    // span_ records itself (with PMU deltas when armed) right after this
-    // body: it is the last member, so it is destroyed first.
+    // span_ records itself right after this body: it is the last member,
+    // so it is destroyed first.
   }
 
   ScopedPhase(const ScopedPhase&) = delete;
@@ -49,7 +45,7 @@ class ScopedPhase {
   double& out_;
   const char* gauge_name_;
   std::uint64_t start_ns_;
-  PmuScopedSpan span_;  // keep last: must destruct before the fields above
+  ScopedSpan span_;  // keep last: must destruct before the fields above
 };
 
 }  // namespace eardec::obs

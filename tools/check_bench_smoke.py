@@ -44,54 +44,17 @@ def require(cond, msg):
         fail(msg)
 
 
-PMU_STATUSES = ("unsupported-platform", "no-counters", "permission-denied",
-                "disabled", "hardware", "software-only")
-PMU_COUNTER_KEYS = ("cycles", "instructions", "cache_references",
-                    "cache_misses", "branch_misses", "task_clock_ns")
-
-
-def check_pmu_block(doc, path):
-    """Sanity-checks the schema-v2 "pmu" provenance block: a coherent
-    availability flag/status pair, non-negative counters, and a positive
-    IPC whenever cycles were actually measured."""
-    pmu = doc.get("pmu")
-    require(isinstance(pmu, dict), f"{path}: pmu block missing (schema v2)")
-    require(pmu.get("available") in (0, 1),
-            f"{path}: pmu.available must be 0 or 1")
-    require(pmu.get("status") in PMU_STATUSES,
-            f"{path}: pmu.status unknown: {pmu.get('status')}")
-    available = pmu["available"] == 1
-    require(available == (pmu["status"] in ("hardware", "software-only")),
-            f"{path}: pmu.available={pmu['available']} contradicts "
-            f"pmu.status={pmu['status']}")
-    for key in PMU_COUNTER_KEYS:
-        v = pmu.get(key)
-        require(isinstance(v, int) and v >= 0,
-                f"{path}: pmu.{key} missing or negative")
-        require(available or v == 0,
-                f"{path}: pmu.{key} nonzero while pmu unavailable")
-    for key in ("ipc", "cache_miss_rate"):
-        v = pmu.get(key)
-        require(isinstance(v, (int, float)) and v >= 0,
-                f"{path}: pmu.{key} missing or negative")
-    if pmu["cycles"] > 0 and pmu["instructions"] > 0:
-        require(pmu["ipc"] > 0, f"{path}: cycles and instructions measured "
-                "but pmu.ipc == 0")
-
-
 def load(path):
     try:
         with open(path) as f:
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{path}: {e}")
-    require(doc.get("schema_version") in (1, 2),
-            f"{path}: schema_version missing or not in (1, 2)")
+    require(doc.get("schema_version") == 3,
+            f"{path}: schema_version missing or not 3")
     require(isinstance(doc.get("git_sha"), str) and doc["git_sha"],
             f"{path}: git_sha missing")
     require("smoke" in doc, f"{path}: smoke flag missing")
-    if doc["schema_version"] >= 2:
-        check_pmu_block(doc, path)
     return doc
 
 

@@ -5,7 +5,7 @@ Usage: compare_bench.py <baseline.json> <candidate.json>
                         [--threshold 25%] [--min-seconds 0.002]
                         [--out delta.md]
 
-Both files must be schema-v2 snapshots of the *same* bench binary (the
+Both files must be schema-v3 snapshots of the *same* bench binary (the
 flattened metric keys must overlap). Every shared numeric metric is
 compared direction-aware:
 
@@ -31,7 +31,7 @@ offenders first.
 import json
 import sys
 
-PROVENANCE_KEYS = {"schema_version", "git_sha", "pmu", "smoke",
+PROVENANCE_KEYS = {"schema_version", "git_sha", "smoke",
                    "hardware_concurrency"}
 IDENTITY_KEYS = ("graph", "kernel", "method", "impl", "name", "mode",
                  "dataset", "mix", "path", "k", "witnesses", "density",
@@ -49,8 +49,8 @@ def load(path):
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{path}: {e}")
-    if doc.get("schema_version") != 2:
-        fail(f"{path}: not a schema-v2 bench snapshot "
+    if doc.get("schema_version") != 3:
+        fail(f"{path}: not a schema-v3 bench snapshot "
              f"(schema_version={doc.get('schema_version')})")
     return doc
 

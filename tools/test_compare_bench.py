@@ -17,9 +17,8 @@ SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 
 def snapshot(cells):
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "git_sha": "deadbeef",
-        "pmu": {"available": 0, "status": "disabled"},
         "smoke": True,
         "cells": cells,
     }
