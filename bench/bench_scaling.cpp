@@ -27,7 +27,7 @@
 #include "graph/edg2.hpp"
 #include "graph/generators.hpp"
 #include "hetero/thread_pool.hpp"
-#include "obs/sampler.hpp"
+#include "obs/rss.hpp"
 #include "reduce/chains.hpp"
 
 namespace {

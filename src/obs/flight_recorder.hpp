@@ -3,7 +3,7 @@
 //
 // Once armed, the recorder installs SIGSEGV/SIGABRT handlers (chaining to
 // whatever was installed before) and, on a crash, writes the newest
-// trace-ring and counter-mirror contents to `eardec-flight-<pid>.json`
+// trace-ring contents to `eardec-flight-<pid>.json`
 // through Tracer::write_flight_dump — an async-signal-safe path built on
 // open(2)/write(2) and hand-rolled formatting only. An optional stall
 // watchdog thread does the same when the serving loop stops calling

@@ -84,12 +84,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return Impl::find_or_create(impl_->histograms, name);
 }
 
-std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
-  const std::lock_guard lock(impl_->mutex);
-  const auto it = impl_->counters.find(name);
-  return it != impl_->counters.end() ? it->second->value() : 0;
-}
-
 double MetricsRegistry::gauge_value(std::string_view name) const {
   const std::lock_guard lock(impl_->mutex);
   const auto it = impl_->gauges.find(name);

@@ -150,9 +150,8 @@ class MetricsRegistry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
-  /// Current value of a named instrument, or 0 when it does not exist
-  /// (reads never create instruments).
-  [[nodiscard]] std::uint64_t counter_value(std::string_view name) const;
+  /// Current value of a named gauge, or 0 when it does not exist (reads
+  /// never create instruments).
   [[nodiscard]] double gauge_value(std::string_view name) const;
 
   /// Zeroes every instrument; names and handles survive.

@@ -1,8 +1,6 @@
 #!/usr/bin/env python3
-"""Unit tests for trace_summary.py: span traces, counter-only traces
-(which must summarize and exit 0, not crash — sampler-only runs produce
-them), metrics dumps, and genuinely empty traces (exit 1). Run directly
-or via ctest (trace_summary_test)."""
+"""Unit tests for trace_summary.py: span traces, metrics dumps, and empty
+traces (exit 1). Run directly or via ctest (trace_summary_test)."""
 
 import json
 import os
@@ -31,11 +29,6 @@ def span(name, ts, dur, tid=1, args=None):
     return e
 
 
-def counter(track, ts, value):
-    return {"ph": "C", "name": track, "ts": ts, "pid": 1, "tid": 1,
-            "args": {"value": value}}
-
-
 class TraceSummaryTest(unittest.TestCase):
     def test_span_trace(self):
         doc = {"traceEvents": [span("apsp.process", 0, 100),
@@ -44,26 +37,6 @@ class TraceSummaryTest(unittest.TestCase):
         self.assertEqual(r.returncode, 0, r.stderr)
         self.assertIn("apsp.process", r.stdout)
         self.assertIn("2", r.stdout)
-
-    def test_counter_only_trace_exits_zero(self):
-        # A sampler-only run records "C" events and no spans; the summary
-        # must print the counter digest and succeed.
-        doc = {"traceEvents": [counter("rss_mb", 0, 10.0),
-                               counter("rss_mb", 1000, 12.0),
-                               counter("rss_mb", 2000, 11.0)]}
-        r = run(doc)
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("counter tracks only", r.stdout)
-        self.assertIn("rss_mb", r.stdout)
-        self.assertIn("11.00", r.stdout)  # mean of 10/12/11
-
-    def test_counter_only_with_by_thread_flag(self):
-        # --by-thread has nothing to break down without spans; it must not
-        # traceback on the counter-only path either.
-        doc = {"traceEvents": [counter("pmu.cycles", 0, 5.0)]}
-        r = run(doc, "--by-thread")
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-        self.assertIn("pmu.cycles", r.stdout)
 
     def test_empty_trace_exits_one(self):
         r = run({"traceEvents": []})
