@@ -7,6 +7,8 @@
 // The client side is a raw blocking POSIX socket: the point is to exercise
 // the server exactly the way curl/Prometheus would, with no test-only
 // shortcuts through its internals. POSIX-only, like the server itself.
+#include <cerrno>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,9 +70,10 @@ std::string http_get(std::uint16_t port, const std::string& path,
 /// Sends raw request bytes verbatim and returns the full response. With
 /// `half_close`, shuts down the write side after sending — the client-hung-up
 /// case the Content-Length framing check must turn into a 400 instead of
-/// burning the receive timeout or truncating the payload.
+/// burning the receive timeout or truncating the payload. `recv_error`
+/// receives the errno that ended the read (0 on a clean EOF).
 std::string http_raw(std::uint16_t port, const std::string& raw,
-                     bool half_close = false) {
+                     bool half_close = false, int* recv_error = nullptr) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -84,7 +87,8 @@ std::string http_raw(std::uint16_t port, const std::string& raw,
   }
   std::size_t off = 0;
   while (off < raw.size()) {
-    const ssize_t n = ::send(fd, raw.data() + off, raw.size() - off, 0);
+    const ssize_t n =
+        ::send(fd, raw.data() + off, raw.size() - off, MSG_NOSIGNAL);
     if (n <= 0) break;
     off += static_cast<std::size_t>(n);
   }
@@ -93,11 +97,38 @@ std::string http_raw(std::uint16_t port, const std::string& raw,
   char buf[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, buf, sizeof buf, 0);
-    if (n <= 0) break;
+    if (n <= 0) {
+      if (recv_error != nullptr) *recv_error = n < 0 ? errno : 0;
+      break;
+    }
     resp.append(buf, static_cast<std::size_t>(n));
   }
   ::close(fd);
   return resp;
+}
+
+/// A reject that stops reading early must still deliver its whole reply:
+/// `raw` is sent `kRuns` times, and each time the read must reach a clean
+/// EOF (no ECONNRESET) with as many body bytes as the reply's
+/// Content-Length and the expected status. /healthz must answer afterwards.
+void expect_complete_reject(std::uint16_t port, const std::string& raw,
+                            const std::string& status) {
+  constexpr int kRuns = 20;
+  for (int run = 0; run < kRuns; ++run) {
+    int error = -1;
+    const std::string resp = http_raw(port, raw, false, &error);
+    ASSERT_EQ(error, 0) << "run " << run << ": " << std::strerror(error);
+    ASSERT_EQ(resp.rfind("HTTP/1.1 " + status, 0), 0u) << resp;
+    const std::size_t header_end = resp.find("\r\n\r\n");
+    const std::size_t length = resp.find("Content-Length: ");
+    ASSERT_NE(header_end, std::string::npos) << resp;
+    ASSERT_LT(length, header_end) << resp;
+    EXPECT_EQ(resp.size() - header_end - 4,
+              std::stoul(resp.substr(length + 16)))
+        << "run " << run << ": truncated reply " << resp;
+  }
+  EXPECT_NE(http_get(port, "/healthz").find("HTTP/1.1 200"),
+            std::string::npos);
 }
 
 class StatsServerTest : public ::testing::Test {
@@ -218,6 +249,16 @@ TEST_F(StatsServerTest, QueryStringIsIgnoredForRouting) {
             std::string::npos);
 }
 
+TEST_F(StatsServerTest, OversizedRequestLineIs400WithCompleteReply) {
+  // Request lines past the 8 KiB header cap: the server answers before it
+  // has read them, and must not reset the connection under its own reply.
+  for (const std::size_t size : {std::size_t{9} << 10, std::size_t{64} << 10}) {
+    SCOPED_TRACE(size);
+    expect_complete_reject(
+        port_, "GET /" + std::string(size, 'a') + " HTTP/1.1\r\n\r\n", "400");
+  }
+}
+
 TEST_F(StatsServerTest, RequestCounterAdvances) {
   auto& server = obs::StatsServer::instance();
   const std::uint64_t before = server.requests_served();
@@ -281,6 +322,9 @@ TEST_F(StatsServerPostTest, BodyLongerThanDeclaredIs400) {
   const std::string resp = http_raw(port_, post("0123456789", 4));
   EXPECT_NE(resp.find("HTTP/1.1 400"), std::string::npos) << resp;
   EXPECT_EQ(resp.find("echo:"), std::string::npos);
+  // 64 KiB sent where 4 bytes were declared: most of it is still unread
+  // when the 400 goes out.
+  expect_complete_reject(port_, post(std::string(64u << 10, 'x'), 4), "400");
 }
 
 TEST_F(StatsServerPostTest, OversizedDeclaredLengthIs413) {
@@ -290,6 +334,10 @@ TEST_F(StatsServerPostTest, OversizedDeclaredLengthIs413) {
       http_raw(port_, post("", 2u << 20), /*half_close=*/true);
   EXPECT_NE(resp.find("HTTP/1.1 413"), std::string::npos) << resp;
   EXPECT_NE(resp.find("body too large"), std::string::npos);
+  // The same refusal with the body actually sent, none of it read.
+  constexpr std::size_t kOverCap = (1u << 20) + 1;
+  expect_complete_reject(port_, post(std::string(kOverCap, 'x'), kOverCap),
+                         "413");
 }
 
 // The TSan check (ctest label: hetero): scrapes race registry updates from
