@@ -7,7 +7,7 @@
 // machine-readable ablation into bench_results/sssp_kernels.json: full
 // source sweeps per (graph, kernel, batch width k) cell, with per-source
 // throughput and the multi-source frontier-round counts. This is the
-// evidence behind the Auto kernel selector's thresholds (docs/sssp_perf.md)
+// evidence behind phase II's per-unit kernel thresholds (docs/sssp_perf.md)
 // — the batched kernel must beat per-source Dijkstra from k >= 4 on the
 // large reduced components. `--smoke` shrinks the sweep for the CI gate
 // (tools/check_bench_smoke.py validates the snapshot's shape).
@@ -193,8 +193,8 @@ void emit_json(bool smoke) {
   measure_graph("c50_reduced", reduced_graph(), smoke, cells);
   {
     // Dense-chain synthetic: a subdivided biconnected graph reduced for
-    // APSP — the dominant-component shape where the Auto selector must
-    // pick the batched kernel.
+    // APSP — the dominant-component shape where phase II's per-unit rule
+    // must pick the batched kernel.
     const graph::Graph base = graph::generators::random_biconnected(
         smoke ? 160 : 700, smoke ? 400 : 1800, 5);
     const graph::Graph full =

@@ -11,18 +11,17 @@
 #include "obs/trace.hpp"
 #include "sssp/delta_stepping.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/frontier_sssp.hpp"
 #include "sssp/multi_source.hpp"
 
 namespace eardec::core {
 namespace {
 
-/// CpuSsspKernel::Auto thresholds: the lane block only amortizes the CSR
-/// traversal when the unit is wide enough and the component large enough
-/// for the extra label-correcting relaxations to be repaid; below these
-/// the binary heap wins and Auto falls back to Dijkstra.
-constexpr VertexId kAutoMultiSourceMinLanes = 4;
-constexpr VertexId kAutoMultiSourceMinVertices = 24;
+/// Phase-II CPU kernel choice: the multi-source lane block only amortizes
+/// the CSR traversal when the unit is wide enough and the component large
+/// enough for the extra label-correcting relaxations to be repaid; below
+/// these the binary heap wins and the unit runs per-source Dijkstra.
+constexpr VertexId kMultiSourceMinLanes = 4;
+constexpr VertexId kMultiSourceMinVertices = 24;
 
 /// (anchor reduced-id, distance-to-anchor) pairs through which a component-
 /// local vertex reaches the reduced graph: itself at 0 if kept, otherwise
@@ -197,39 +196,17 @@ struct EarApspEngine::Impl {
         std::min<std::uint32_t>(std::max<std::uint32_t>(
                                     opts.sources_per_unit, 1),
                                 sssp::kMaxSourceLanes);
-    std::vector<sssp::MultiSourceWorkspace> ms_ws;
-    if (opts.cpu_kernel != CpuSsspKernel::Dijkstra) {
-      ms_ws.resize(cpu_workers);
-      for (auto& ws : ms_ws) ws.ensure(max_nr, ms_lanes);
-    }
-    sssp::FrontierWorkspace device_ws;  // single device driver thread
-    sssp::DeltaSteppingWorkspace device_delta_ws;
-    if (device) {
-      if (opts.device_kernel == DeviceSsspKernel::Frontier) {
-        device_ws.ensure(max_nr);
-      } else {
-        device_delta_ws.ensure(max_nr);
-      }
-    }
-
-    const auto use_multi_source = [this](VertexId width, VertexId nr) {
-      switch (opts.cpu_kernel) {
-        case CpuSsspKernel::Dijkstra:
-          return false;
-        case CpuSsspKernel::MultiSource:
-          return true;
-        case CpuSsspKernel::Auto:
-          return width >= kAutoMultiSourceMinLanes &&
-                 nr >= kAutoMultiSourceMinVertices;
-      }
-      return false;
-    };
+    std::vector<sssp::MultiSourceWorkspace> ms_ws(cpu_workers);
+    for (auto& ws : ms_ws) ws.ensure(max_nr, ms_lanes);
+    sssp::DeltaSteppingWorkspace device_ws;  // single device driver thread
+    if (device) device_ws.ensure(max_nr);
 
     const auto cpu_fn = [&](const hetero::WorkUnit& wu, unsigned worker) {
       EARDEC_TRACE_SCOPE("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
       const Graph& rg = reduced[u.comp].graph();
-      if (use_multi_source(u.src_end - u.src_begin, rg.num_vertices())) {
+      if (u.src_end - u.src_begin >= kMultiSourceMinLanes &&
+          rg.num_vertices() >= kMultiSourceMinVertices) {
         sssp::MultiSourceWorkspace& ws = ms_ws[worker];
         for (VertexId s = u.src_begin; s < u.src_end; s += ms_lanes) {
           ws.distances(rg, s, std::min<VertexId>(s + ms_lanes, u.src_end),
@@ -247,12 +224,8 @@ struct EarApspEngine::Impl {
       const Unit& u = units[wu.id];
       const Graph& rg = reduced[u.comp].graph();
       for (VertexId s = u.src_begin; s < u.src_end; ++s) {
-        if (opts.device_kernel == DeviceSsspKernel::DeltaStepping) {
-          device_delta_ws.distances(rg, s, rtables[u.comp].row(s), 0,
-                                    nullptr, &*device);
-        } else {
-          device_ws.distances(rg, s, *device, rtables[u.comp].row(s));
-        }
+        device_ws.distances(rg, s, rtables[u.comp].row(s), 0, nullptr,
+                            &*device);
       }
     };
 

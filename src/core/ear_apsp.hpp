@@ -6,8 +6,9 @@
 //            (paper: "Reduce(G)", executed on the device).
 //   Phase II per component: all-pairs shortest paths on G^r_i, one SSSP per
 //            reduced vertex, scheduled heterogeneously through the work
-//            queue (CPU threads run Dijkstra; the device runs the frontier
-//            kernel).
+//            queue (CPU threads run Dijkstra or the batched multi-source
+//            kernel, chosen per unit; the device runs delta-stepping bulk
+//            launches).
 //   Phase III Stage 1: extend S^r_i to the full per-component table A_i with
 //            the closed-form left/right formulas (UPDATE_DISTANCE).
 //            Stage 2: articulation-point table A over the block-cut tree;
@@ -49,26 +50,8 @@ using sssp::DistanceMatrix;
 enum class ExecutionMode {
   Sequential,     ///< one thread, no device
   Multicore,      ///< CPU thread pool only
-  DeviceOnly,     ///< frontier kernels on the software device only
+  DeviceOnly,     ///< delta-stepping bulk launches on the software device only
   Heterogeneous,  ///< work queue drained by CPU threads + device (paper mode)
-};
-
-/// Which SSSP kernel the phase-II CPU workers run per work unit.
-enum class CpuSsspKernel {
-  /// Batched multi-source for wide units on large reduced components,
-  /// per-source Dijkstra otherwise (small/irregular components where the
-  /// lane block cannot amortize the traversal).
-  Auto,
-  Dijkstra,     ///< per-source binary heap (the paper's baseline)
-  MultiSource,  ///< k-lane batched label-correcting kernel
-};
-
-/// Which bulk kernel the phase-II device driver runs.
-enum class DeviceSsspKernel {
-  /// Bucketed delta-stepping whose light-edge rounds launch frontier
-  /// slices as bulk device work — real per-level parallelism.
-  DeltaStepping,
-  Frontier,  ///< Harish–Narayanan level-synchronous kernel
 };
 
 struct ApspOptions {
@@ -83,10 +66,6 @@ struct ApspOptions {
   std::uint32_t sources_per_unit = 16;
   std::size_t cpu_batch = 1;
   std::size_t device_batch = 4;
-  /// Phase-II kernel selection. Every kernel produces bit-identical
-  /// distances (see docs/sssp_perf.md); these pick throughput per shape.
-  CpuSsspKernel cpu_kernel = CpuSsspKernel::Auto;
-  DeviceSsspKernel device_kernel = DeviceSsspKernel::DeltaStepping;
 };
 
 /// Wall-clock seconds per phase, for the benches.

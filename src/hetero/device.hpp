@@ -20,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
 
 #include "hetero/thread_pool.hpp"
 
@@ -33,11 +32,6 @@ struct DeviceConfig {
   unsigned workers = 2;
   /// Lanes per warp; kernels are chunked warp-by-warp.
   unsigned warp_size = 32;
-  /// Relative throughput vs one CPU thread, used by schedulers to pick
-  /// batch proportions (the K40c-to-core ratio in the paper's setup is
-  /// roughly 6-8 for these memory-bound kernels).
-  double relative_throughput = 6.0;
-  std::string name = "eardec software SIMT device";
 };
 
 class Device {

@@ -86,8 +86,6 @@ TEST(ApiOptions, DefaultsAreSane) {
   const hetero::DeviceConfig d;
   EXPECT_GT(d.workers, 0u);
   EXPECT_GT(d.warp_size, 0u);
-  EXPECT_GT(d.relative_throughput, 0.0);
-  EXPECT_FALSE(d.name.empty());
 }
 
 TEST(ApiStats, McbStatsTotalsAndAccumulate) {

@@ -1,7 +1,8 @@
-// Scheduler-path tests for the batched phase-II kernels (labelled hetero:
-// CI re-runs this suite under ThreadSanitizer). The k-lane multi-source
-// kernel and the delta-stepping device path must produce the same matrix
-// as the Sequential/Dijkstra pipeline when driven through the work queue.
+// Scheduler-path tests for the phase-II kernels (labelled hetero: CI
+// re-runs this suite under ThreadSanitizer). Driven through the work
+// queue, the CPU workers' per-unit choice between the batched multi-source
+// kernel and Dijkstra, and the device's delta-stepping bulk launches, must
+// reproduce per-source Dijkstra on the original graph bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,9 +23,9 @@ using graph::Graph;
 using graph::VertexId;
 
 Graph blocky_graph(std::uint64_t seed) {
-  // Biconnected blocks of very different sizes glued in a tree: the work
-  // queue sees both wide units (batched kernel) and tiny components
-  // (Dijkstra fallback under Auto).
+  // Biconnected blocks of very different sizes glued in a tree: the 48-vertex
+  // block yields units wide enough for the batched kernel, the small blocks
+  // and narrow units fall back to Dijkstra.
   gen::BlockTreeParams params;
   params.num_blocks = 6;
   params.largest_block = 48;
@@ -34,56 +35,50 @@ Graph blocky_graph(std::uint64_t seed) {
   return gen::block_tree(params, seed);
 }
 
-sssp::DistanceMatrix matrix_for(const Graph& g, ExecutionMode mode,
-                                CpuSsspKernel cpu, DeviceSsspKernel device,
-                                std::uint32_t sources_per_unit) {
+/// Asserts the phase-II pipeline under `mode` reproduces per-source Dijkstra
+/// on every pair.
+void expect_matches_dijkstra(const Graph& g, ExecutionMode mode,
+                             std::uint32_t sources_per_unit) {
   ApspOptions opts;
   opts.mode = mode;
   opts.cpu_threads = 3;
   opts.device = {.workers = 2, .warp_size = 4};
-  opts.cpu_kernel = cpu;
-  opts.device_kernel = device;
   opts.sources_per_unit = sources_per_unit;
-  return ear_apsp_matrix(g, opts);
+  const sssp::DistanceMatrix got = ear_apsp_matrix(g, opts);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    const auto ref = sssp::dijkstra(g, u);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      ASSERT_EQ(got.at(u, v), ref.dist[v])
+          << "mode=" << static_cast<int>(mode) << " k=" << sources_per_unit
+          << " pair " << u << "," << v;
+    }
+  }
 }
 
 class MultiSourceSchedulerTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(MultiSourceSchedulerTest, ForcedMultiSourceMatchesSequentialDijkstra) {
+  // Multicore at k = 1 runs Dijkstra on every unit; k = 4 and 16 run the
+  // batched kernel on the 48-vertex block and Dijkstra on the small ones.
   const Graph g = blocky_graph(GetParam());
-  const auto ref = matrix_for(g, ExecutionMode::Sequential,
-                              CpuSsspKernel::Dijkstra,
-                              DeviceSsspKernel::Frontier, 16);
+  const EarApspEngine engine(g, {.mode = ExecutionMode::Sequential});
+  VertexId widest = 0;
+  for (std::uint32_t c = 0; c < engine.num_components(); ++c) {
+    widest = std::max(widest, engine.reduced(c).graph().num_vertices());
+  }
+  ASSERT_GE(widest, 24u) << "no component large enough to batch";
   for (const std::uint32_t k : {1u, 4u, 16u}) {
-    const auto got = matrix_for(g, ExecutionMode::Multicore,
-                                CpuSsspKernel::MultiSource,
-                                DeviceSsspKernel::Frontier, k);
-    for (VertexId u = 0; u < g.num_vertices(); ++u) {
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        ASSERT_EQ(got.at(u, v), ref.at(u, v))
-            << "k=" << k << " pair " << u << "," << v;
-      }
-    }
+    expect_matches_dijkstra(g, ExecutionMode::Multicore, k);
   }
 }
 
 TEST_P(MultiSourceSchedulerTest, HeterogeneousAutoMatchesSequential) {
+  // Paper mode (CPU workers and delta-stepping device share the queue) and
+  // the device alone.
   const Graph g = blocky_graph(GetParam() + 100);
-  const auto ref = matrix_for(g, ExecutionMode::Sequential,
-                              CpuSsspKernel::Dijkstra,
-                              DeviceSsspKernel::Frontier, 16);
-  // Paper mode with both new kernels live: CPU workers run the Auto
-  // selector (batched on wide units, Dijkstra on narrow ones), the device
-  // drains bulk units through delta-stepping.
-  const auto got = matrix_for(g, ExecutionMode::Heterogeneous,
-                              CpuSsspKernel::Auto,
-                              DeviceSsspKernel::DeltaStepping, 8);
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(got.at(u, v), ref.at(u, v)) << "pair " << u << "," << v;
-    }
-  }
+  expect_matches_dijkstra(g, ExecutionMode::Heterogeneous, 8);
+  expect_matches_dijkstra(g, ExecutionMode::DeviceOnly, 8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MultiSourceSchedulerTest,
