@@ -1,4 +1,4 @@
-// Tests for DFS, biconnected components, bridges, block-cut tree, and ear
+// Tests for DFS, biconnected components, block-cut tree, and ear
 // decomposition — validated against brute-force oracles on many small
 // random graphs.
 #include <algorithm>
@@ -8,7 +8,6 @@
 
 #include "connectivity/bcc.hpp"
 #include "connectivity/block_cut_tree.hpp"
-#include "connectivity/bridges.hpp"
 #include "connectivity/dfs.hpp"
 #include "connectivity/ear_decomposition.hpp"
 #include "graph/builder.hpp"
@@ -23,9 +22,8 @@ using graph::Graph;
 
 // ------------------------------------------------------------ brute oracles
 
-/// Number of connected components when `skip_vertex`/`skip_edge` is removed.
-std::uint32_t components_without(const Graph& g, VertexId skip_vertex,
-                                 EdgeId skip_edge) {
+/// Number of connected components when `skip_vertex` is removed.
+std::uint32_t components_without(const Graph& g, VertexId skip_vertex) {
   std::vector<std::uint32_t> comp(g.num_vertices(), kNoComponent);
   std::uint32_t count = 0;
   std::vector<VertexId> stack;
@@ -37,7 +35,7 @@ std::uint32_t components_without(const Graph& g, VertexId skip_vertex,
       const VertexId v = stack.back();
       stack.pop_back();
       for (const graph::HalfEdge& he : g.neighbors(v)) {
-        if (he.edge == skip_edge || he.to == skip_vertex) continue;
+        if (he.to == skip_vertex) continue;
         if (comp[he.to] == kNoComponent) {
           comp[he.to] = count;
           stack.push_back(he.to);
@@ -174,21 +172,9 @@ TEST_P(BccRandomTest, ArticulationPointsMatchBruteForce) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     // Removing v splits the graph iff v is an articulation point
     // (account for v itself disappearing from the count).
-    const std::uint32_t without =
-        components_without(g, v, graph::kNullEdge);
+    const std::uint32_t without = components_without(g, v);
     const bool brute = without > base - (g.degree(v) == 0 ? 1 : 0);
     EXPECT_EQ(bcc.is_articulation[v], brute) << "vertex " << v;
-  }
-}
-
-TEST_P(BccRandomTest, BridgesMatchBruteForce) {
-  const std::uint64_t seed = GetParam();
-  const Graph g = gen::random_connected(24, static_cast<graph::EdgeId>(24 + seed % 20), seed + 100);
-  const auto b = bridges(g);
-  const std::uint32_t base = num_components(g);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const bool brute = components_without(g, graph::kNullVertex, e) > base;
-    EXPECT_EQ(b[e], brute) << "edge " << e;
   }
 }
 
