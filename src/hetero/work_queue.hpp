@@ -26,10 +26,6 @@ namespace eardec::hetero {
 struct WorkUnit {
   std::uint32_t id = 0;
   std::uint64_t size = 0;
-  /// Opaque caller tag carried through scheduling untouched. The serving
-  /// layer stores the query id here so worker-side spans can be stitched
-  /// into per-query trees (obs/query_trace.hpp); 0 = untagged.
-  std::uint64_t tag = 0;
 };
 
 class WorkQueue {
