@@ -53,11 +53,10 @@ QueryTrace* current_query_trace() noexcept { return t_query_ctx.trace; }
 
 std::uint32_t current_parent_span() noexcept { return t_query_ctx.parent; }
 
-QueryTraceScope::QueryTraceScope(QueryTrace* trace,
-                                 std::uint32_t parent_span) noexcept
+QueryTraceScope::QueryTraceScope(QueryTrace* trace) noexcept
     : prev_trace_(t_query_ctx.trace), prev_parent_(t_query_ctx.parent) {
   t_query_ctx.trace = trace;
-  t_query_ctx.parent = parent_span;
+  t_query_ctx.parent = 0;
 }
 
 QueryTraceScope::~QueryTraceScope() {

@@ -6,22 +6,20 @@
 // query id plus a span-id allocator and a small fixed collector of the
 // spans emitted on the query's behalf. The request owner (http_routes,
 // bench_oracle_serve) stack-allocates one, installs it with a
-// QueryTraceScope, and every span emitted below — across the oracle
-// server, and via scope re-installation inside hetero worker callbacks,
-// across thread lanes — is recorded through Tracer::record_span_linked
-// with (qid, span_id, parent_id) links. tools/critical_path.py stitches
-// the exported links back into per-query trees; obs/slow_log.hpp retains
-// the collected spans for queries sampled into the exemplar ring.
+// QueryTraceScope on the thread that serves the request, and every span
+// emitted below it in the oracle server is recorded through
+// Tracer::record_span_linked with (qid, span_id, parent_id) links.
+// tools/critical_path.py stitches the exported links back into per-query
+// trees; obs/slow_log.hpp retains the collected spans for queries sampled
+// into the exemplar ring.
 //
 // Contract:
 //   * the QueryTrace must outlive every scope/span referring to it — the
-//     serving layer guarantees this because batch drains are synchronous
-//     within OracleServer::query_batch;
-//   * span-id allocation and collection are thread-safe (atomic claims),
-//     so concurrent worker lanes may emit under one query;
-//   * the thread-local context itself is per-thread: cross-thread
-//     propagation is explicit, by constructing a QueryTraceScope inside
-//     the worker callback with the parent span id to attach under.
+//     request owner guarantees this because a request is answered
+//     synchronously on the thread that installed the scope;
+//   * span-id allocation and collection are thread-safe (atomic claims);
+//   * the thread-local context itself is per-thread: spans emitted on
+//     another thread are not attached to the query.
 //
 // Everything here is cheap enough to stay compiled in all builds (one TLS
 // pointer, a few atomics); the tracer half of emit() is still double-gated
@@ -66,8 +64,8 @@ struct QuerySpanRecord {
 /// file comment for the lifetime/threading contract.
 class QueryTrace {
  public:
-  /// Collector capacity: enough for root + phase spans + every leg unit of
-  /// a full batch; later spans are counted but not retained.
+  /// Collector capacity: a request emits 3 spans today, so this leaves
+  /// ample headroom; later spans are counted but not retained.
   static constexpr std::size_t kMaxSpans = 48;
 
   /// `arrival_ns` is the query's scheduled arrival on the Tracer::now_ns
@@ -121,15 +119,13 @@ class QueryTrace {
 /// The span id new spans on this thread should attach under (0 = root).
 [[nodiscard]] std::uint32_t current_parent_span() noexcept;
 
-/// Installs a QueryTrace (and the parent span id to attach under) as the
-/// calling thread's context for the scope's duration; restores the previous
+/// Installs a QueryTrace as the calling thread's context for the scope's
+/// duration, with new spans attaching at the root; restores the previous
 /// context on exit. Pass nullptr to run a scope context-free. Used at
-/// request entry and re-constructed inside hetero worker callbacks for
-/// cross-thread propagation.
+/// request entry.
 class QueryTraceScope {
  public:
-  explicit QueryTraceScope(QueryTrace* trace,
-                           std::uint32_t parent_span = 0) noexcept;
+  explicit QueryTraceScope(QueryTrace* trace) noexcept;
   ~QueryTraceScope();
 
   QueryTraceScope(const QueryTraceScope&) = delete;

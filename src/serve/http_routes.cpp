@@ -21,7 +21,7 @@ namespace {
 /// The `write` attribution component for HTTP-served queries: reply
 /// serialization time, from the server handing the answer back
 /// (QueryTrace::server_end_ns) to the response body being ready. The other
-/// four components are recorded inside OracleServer.
+/// two components are recorded inside OracleServer.
 obs::Histogram& attr_write() {
   static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
       "oracle.serve.attr.write_ns");

@@ -17,7 +17,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <type_traits>
 #include <variant>
@@ -653,34 +652,6 @@ TEST_F(ObsTracerTest, QuerySpanWithoutContextIsInert) {
   const obs::QuerySpan span("obs_test.orphan");
   EXPECT_EQ(span.span_id(), 0u);
   EXPECT_EQ(obs::current_parent_span(), 0u);
-}
-
-TEST_F(ObsTracerTest, CrossThreadScopeReinstallJoinsTheSameTree) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
-  // The hetero worker-callback pattern: the worker lane re-installs the
-  // query's context with the root span id, so its spans parent under the
-  // root despite running on another thread.
-  obs::QueryTrace qt;
-  std::uint32_t root_id = 0;
-  {
-    const obs::QueryTraceScope scope(&qt);
-    const obs::QuerySpan root("obs_test.x_root");
-    root_id = root.span_id();
-    std::thread worker([&qt, root_id] {
-      const obs::QueryTraceScope wscope(&qt, root_id);
-      const obs::QuerySpan unit("obs_test.x_unit");
-      EXPECT_NE(unit.span_id(), 0u);
-    });
-    worker.join();
-  }
-  const auto events = obs::Tracer::instance().snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  for (const auto& e : events) {
-    EXPECT_EQ(e.event.qid, qt.query_id());
-    if (std::string_view(e.event.name) == "obs_test.x_unit") {
-      EXPECT_EQ(e.event.parent_id, root_id);
-    }
-  }
 }
 
 TEST_F(ObsTracerTest, ConcurrentLinkedWraparound) {
