@@ -17,22 +17,36 @@
 // integer-weighted bench dataset the closed form is exact, so bitwise
 // equality is the contract, not a tolerance.
 //
+// A second, closed-loop cell group measures reader scaling: 1 and 3
+// threads query back to back through OracleServer::query, through
+// snapshot()->query, and through a snapshot each reader pinned once (the
+// bare lookup, the ceiling of the other two). Sampled answers are checked
+// against the same Dijkstra rows.
+//
 // Snapshot: bench_results/oracle_serve.json (schema v2, validated by
 // tools/check_bench_smoke.py, diffed by tools/compare_bench.py). The full
 // run sustains >= 1M queries across its cells; `--smoke` shrinks each cell
 // for the CI gate. Knobs: --qps=<target per cell>, --queries=<per cell>,
 // --batch=<batched-path batch size>, --mix=same_block|cross_block|uniform.
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <random>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 #include "bench_common.hpp"
 
@@ -53,6 +67,8 @@ constexpr std::uint64_t kSampleStride = 401;  // prime: covers all mix slots
 // parseable eardec-flight-<pid>.json behind. 0 = disabled.
 std::uint64_t g_crash_after = 0;
 std::uint64_t g_answered = 0;
+
+volatile double g_checksum = 0;  // sink for the closed-loop answers
 
 void count_answered(std::uint64_t n) {
   if (g_crash_after == 0) return;
@@ -301,7 +317,128 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
   return r;
 }
 
-void emit_json(const std::vector<CellResult>& rows, bool smoke) {
+/// One closed-loop reader-scaling cell.
+struct ScalingResult {
+  std::string name;  ///< "<access>_r<readers>", the cell's identity
+  const char* access = "";
+  unsigned readers = 0;
+  std::uint64_t queries = 0;
+  double seconds = 0;
+  double qps = 0;
+  std::uint64_t sampled = 0;
+  std::uint64_t mismatches = 0;
+};
+
+/// How a scaling reader reaches the snapshot it answers from.
+enum class Access { kServerQuery, kSnapshotQuery, kPinnedQuery };
+
+constexpr const char* access_name(Access a) {
+  switch (a) {
+    case Access::kServerQuery: return "server_query";
+    case Access::kSnapshotQuery: return "snapshot_query";
+    case Access::kPinnedQuery: return "pinned_query";
+  }
+  return "";
+}
+
+/// Pins the calling thread to the i-th CPU it may run on (wrapping), so the
+/// readers of a scaling cell run on distinct CPUs. Left to itself, the
+/// scheduler of a 4-vCPU VM kept three busy readers stacked on one CPU for
+/// whole cells, and the 3-reader cells measured one CPU's throughput.
+void pin_to_nth_cpu(unsigned i) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (pthread_getaffinity_np(pthread_self(), sizeof allowed, &allowed) != 0) {
+    return;
+  }
+  const auto count = static_cast<unsigned>(CPU_COUNT(&allowed));
+  if (count == 0) return;
+  unsigned skip = i % count;
+  for (std::size_t cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pthread_setaffinity_np(pthread_self(), sizeof one, &one);
+    return;
+  }
+#else
+  (void)i;
+#endif
+}
+
+/// `readers` threads answer pairs from `mix` back to back for `seconds`,
+/// starting together. Every kSampleStride-th answer is kept and checked
+/// against Dijkstra after the readers join (the row cache is not
+/// thread-safe).
+ScalingResult run_scaling_cell(const serve::OracleServer& server,
+                               const Mix& mix, Access access,
+                               unsigned readers, double seconds) {
+  struct Reader {
+    std::uint64_t queries = 0;
+    double checksum = 0;  // keeps the answers observable
+    std::vector<std::pair<serve::Query, graph::Weight>> samples;
+  };
+  std::vector<Reader> results(readers);
+  std::latch start(readers + 1);
+  std::atomic<bool> stop{false};
+  std::vector<std::jthread> threads;
+  for (unsigned r = 0; r < readers; ++r) {
+    threads.emplace_back([&, r] {
+      pin_to_nth_cpu(r);
+      // Counted in locals, not in `results`, whose entries share lines.
+      std::uint64_t queries = 0;
+      double checksum = 0;
+      std::vector<std::pair<serve::Query, graph::Weight>> samples;
+      const auto pinned = server.snapshot();
+      std::size_t at = r * mix.pairs.size() / readers;
+      start.arrive_and_wait();
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (int j = 0; j < 256; ++j, ++queries) {
+          const serve::Query q = mix.pairs[at++ % mix.pairs.size()];
+          graph::Weight d = 0;
+          switch (access) {
+            case Access::kServerQuery: d = server.query(q.s, q.t); break;
+            case Access::kSnapshotQuery:
+              d = server.snapshot()->query(q.s, q.t);
+              break;
+            case Access::kPinnedQuery: d = pinned->query(q.s, q.t); break;
+          }
+          checksum += d;
+          if (queries % kSampleStride == 0) samples.push_back({q, d});
+        }
+      }
+      results[r] = {queries, checksum, std::move(samples)};
+    });
+  }
+  start.arrive_and_wait();
+  const std::uint64_t t0 = obs::Tracer::now_ns();
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  stop.store(true, std::memory_order_relaxed);
+  threads.clear();  // joins
+  const std::uint64_t t1 = obs::Tracer::now_ns();
+
+  ScalingResult cell;
+  cell.access = access_name(access);
+  cell.readers = readers;
+  cell.name = std::string(cell.access) + "_r" + std::to_string(readers);
+  cell.seconds = static_cast<double>(t1 - t0) / 1e9;
+  for (const Reader& r : results) {
+    cell.queries += r.queries;
+    g_checksum = g_checksum + r.checksum;
+    for (const auto& [q, got] : r.samples) {
+      ++cell.sampled;
+      const graph::Weight want = dijkstra_row(q.s)[q.t];
+      if (std::memcmp(&got, &want, sizeof(got)) != 0) ++cell.mismatches;
+    }
+  }
+  cell.qps = static_cast<double>(cell.queries) / cell.seconds;
+  return cell;
+}
+
+void emit_json(const std::vector<CellResult>& rows,
+               const std::vector<ScalingResult>& scaling, bool smoke) {
   std::filesystem::create_directories("bench_results");
   std::FILE* out = std::fopen("bench_results/oracle_serve.json", "w");
   if (out == nullptr) return;
@@ -340,10 +477,23 @@ void emit_json(const std::vector<CellResult>& rows, bool smoke) {
     }
     std::fprintf(out, "}}%s\n", i + 1 < rows.size() ? "," : "");
   }
+  std::fprintf(out, "  ],\n  \"reader_scaling\": [\n");
+  for (std::size_t i = 0; i < scaling.size(); ++i) {
+    const ScalingResult& c = scaling[i];
+    std::fprintf(out,
+                 "    {\"name\": \"%s\", \"access\": \"%s\", "
+                 "\"readers\": %u, \"queries\": %llu, \"seconds\": %.6f, "
+                 "\"qps\": %.1f, \"sampled\": %llu, \"mismatches\": %llu}%s\n",
+                 c.name.c_str(), c.access, c.readers,
+                 static_cast<unsigned long long>(c.queries), c.seconds, c.qps,
+                 static_cast<unsigned long long>(c.sampled),
+                 static_cast<unsigned long long>(c.mismatches),
+                 i + 1 < scaling.size() ? "," : "");
+  }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
-  std::printf("wrote bench_results/oracle_serve.json (%zu cells)\n",
-              rows.size());
+  std::printf("wrote bench_results/oracle_serve.json (%zu + %zu cells)\n",
+              rows.size(), scaling.size());
 }
 
 }  // namespace
@@ -385,6 +535,17 @@ int main(int argc, char** argv) {
     rows.push_back(run_cell(server, mix, true, queries, qps, batch_size));
   }
 
+  // Closed-loop reader scaling on the unconditioned pool, after the
+  // open-loop cells so their registry histograms stay per-cell.
+  std::vector<ScalingResult> scaling;
+  for (const Access access :
+       {Access::kServerQuery, Access::kSnapshotQuery, Access::kPinnedQuery}) {
+    for (const unsigned readers : {1u, 3u}) {
+      scaling.push_back(run_scaling_cell(server, mixes.back(), access,
+                                         readers, smoke ? 0.2 : 1.0));
+    }
+  }
+
   std::uint64_t total = 0, mismatches = 0;
   std::printf("=== Oracle serving under load, cond_mat_2003 "
               "(%u vertices)%s ===\n",
@@ -405,11 +566,21 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.mismatches));
   }
   bench::print_rule(96);
+  std::printf("%-16s %7s %11s %13s %6s %4s\n", "Closed loop", "readers",
+              "queries", "QPS", "sampl", "bad");
+  for (const ScalingResult& c : scaling) {
+    mismatches += c.mismatches;
+    std::printf("%-16s %7u %11llu %13.0f %6llu %4llu\n", c.access,
+                c.readers, static_cast<unsigned long long>(c.queries), c.qps,
+                static_cast<unsigned long long>(c.sampled),
+                static_cast<unsigned long long>(c.mismatches));
+  }
+  bench::print_rule(96);
   std::printf("total queries: %llu, mismatches vs Dijkstra: %llu\n",
               static_cast<unsigned long long>(total),
               static_cast<unsigned long long>(mismatches));
 
-  emit_json(rows, smoke);
+  emit_json(rows, scaling, smoke);
   if (mismatches > 0) {
     std::fprintf(stderr,
                  "FAIL: %llu sampled answers differ from Dijkstra\n",

@@ -6,8 +6,82 @@
 #include <mutex>
 #include <ostream>
 #include <utility>
+#include <vector>
 
 namespace eardec::obs {
+
+namespace {
+
+/// Slot ids held by live threads; slot i is taken iff held[i].
+struct SlotTable {
+  std::mutex mutex;
+  std::vector<bool> held;
+};
+
+SlotTable& slot_table() {
+  // Leaked: threads may exit during static destruction.
+  static SlotTable* table = new SlotTable;
+  return *table;
+}
+
+/// Hands the calling thread's slot back when the thread exits. The thread
+/// keeps its cached id for any instrument update later in its exit path:
+/// a new thread that reuses the id only shares shards with it, which the
+/// atomics make safe.
+struct SlotRelease {
+  std::size_t slot;
+  ~SlotRelease() {
+    SlotTable& table = slot_table();
+    const std::lock_guard lock(table.mutex);
+    table.held[slot] = false;
+  }
+};
+
+}  // namespace
+
+std::size_t detail::claim_thread_slot() noexcept {
+  SlotTable& table = slot_table();
+  std::size_t slot = 0;
+  {
+    const std::lock_guard lock(table.mutex);
+    while (slot < table.held.size() && table.held[slot]) ++slot;
+    if (slot == table.held.size()) {
+      table.held.push_back(true);
+    } else {
+      table.held[slot] = true;
+    }
+  }
+  thread_local const SlotRelease release{slot};
+  t_thread_slot = slot;
+  return slot;
+}
+
+std::uint64_t Histogram::count() const noexcept {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < kNumBuckets; ++i) total += bucket_count(i);
+  return total;
+}
+
+std::uint64_t Histogram::sum() const noexcept {
+  std::uint64_t total = 0;
+  for (const Shard& s : shards_) total += s.sum.load(std::memory_order_relaxed);
+  return total;
+}
+
+std::uint64_t Histogram::bucket_count(std::size_t i) const noexcept {
+  std::uint64_t total = 0;
+  for (const Shard& s : shards_) {
+    total += s.buckets[i].load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void Histogram::reset() noexcept {
+  for (Shard& s : shards_) {
+    for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
+    s.sum.store(0, std::memory_order_relaxed);
+  }
+}
 
 double Histogram::quantile(double q) const noexcept {
   // One coherent-ish snapshot: the per-bucket loads are relaxed, so a
@@ -15,7 +89,7 @@ double Histogram::quantile(double q) const noexcept {
   std::uint64_t counts[kNumBuckets];
   std::uint64_t total = 0;
   for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    counts[i] = bucket_count(i);
     total += counts[i];
   }
   if (total == 0) return 0.0;

@@ -10,6 +10,12 @@
 //                 bucket i >= 1 covers [2^(i-1), 2^i - 1] and bucket 0 is
 //                 exactly {0}.
 //
+// Counters and histograms are sharded: kShards cache-line-aligned copies,
+// and a thread updates shard thread_slot() % kShards. Threads that run at
+// the same time therefore write disjoint cache lines (up to kShards live
+// threads), and the readers — value(), count(), quantile(), the exporters
+// — sum the shards. Gauges hold one last-written value and stay unsharded.
+//
 // Instruments are created on first lookup and never move or disappear, so
 // hot paths cache the returned reference in a function-local static and
 // pay one map lookup per process:
@@ -25,6 +31,7 @@
 
 #include <atomic>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -32,18 +39,49 @@
 
 namespace eardec::obs {
 
+/// Shards per Counter and Histogram.
+inline constexpr std::size_t kShards = 16;
+
+namespace detail {
+inline constexpr std::size_t kNoSlot = ~std::size_t{0};
+inline thread_local std::size_t t_thread_slot = kNoSlot;
+/// Claims the lowest free slot for the calling thread and arranges its
+/// release at thread exit.
+std::size_t claim_thread_slot() noexcept;
+}  // namespace detail
+
+/// Small dense id of the calling thread: the lowest id no other live thread
+/// holds, claimed on the first call and handed back when the thread exits.
+/// Ids stay small however many short-lived threads (build pools) came and
+/// went, so `thread_slot() % n` spreads the threads that run together over
+/// distinct slots.
+[[nodiscard]] inline std::size_t thread_slot() noexcept {
+  const std::size_t slot = detail::t_thread_slot;
+  return slot != detail::kNoSlot ? slot : detail::claim_thread_slot();
+}
+
 class Counter {
  public:
   void add(std::uint64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    shards_[thread_slot() % kShards].value.fetch_add(
+        delta, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (const Shard& s : shards_) {
+      total += s.value.load(std::memory_order_relaxed);
+    }
+    return total;
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept {
+    for (Shard& s : shards_) s.value.store(0, std::memory_order_relaxed);
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> value{0};
+  };
+  Shard shards_[kShards];
 };
 
 class Gauge {
@@ -88,32 +126,23 @@ class Histogram {
     return (std::uint64_t{1} << i) - 1;
   }
 
-  void record(std::uint64_t v) noexcept {
-    buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
+  void record(std::uint64_t v) noexcept { record_n(v, 1); }
 
-  /// Records the same value n times in three atomic ops instead of 3n. The
+  /// Records the same value n times in two atomic ops instead of 2n. The
   /// serve layer uses it for batch attribution: a batched query's component
   /// durations are recorded once per query in the batch, so histogram means
   /// stay per-query comparable with the scalar path.
   void record_n(std::uint64_t v, std::uint64_t n) noexcept {
     if (n == 0) return;
-    buckets_[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
-    count_.fetch_add(n, std::memory_order_relaxed);
-    sum_.fetch_add(v * n, std::memory_order_relaxed);
+    Shard& s = shards_[thread_slot() % kShards];
+    s.buckets[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
+    s.sum.fetch_add(v * n, std::memory_order_relaxed);
   }
 
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const noexcept {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
+  /// Samples recorded: the sum of every bucket count.
+  [[nodiscard]] std::uint64_t count() const noexcept;
+  [[nodiscard]] std::uint64_t sum() const noexcept;
+  [[nodiscard]] std::uint64_t bucket_count(std::size_t i) const noexcept;
 
   /// Estimated q-quantile (q clamped to [0, 1]) by linear interpolation
   /// inside the owning log2 bucket — log-linear interpolation overall.
@@ -126,16 +155,14 @@ class Histogram {
   /// wrong.
   [[nodiscard]] double quantile(double q) const noexcept;
 
-  void reset() noexcept {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-  }
+  void reset() noexcept;
 
  private:
-  std::atomic<std::uint64_t> buckets_[kNumBuckets]{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> sum{0};
+    std::atomic<std::uint64_t> buckets[kNumBuckets]{};
+  };
+  Shard shards_[kShards];
 };
 
 class MetricsRegistry {

@@ -1,6 +1,8 @@
 #include "serve/oracle_server.hpp"
 
+#include <atomic>
 #include <mutex>
+#include <thread>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -13,15 +15,33 @@ namespace eardec::serve {
 struct OracleServer::Impl {
   ServeOptions options;
 
-  /// Guards the published-snapshot pointer: readers copy it, rebuild()
-  /// swaps it. A plain mutex around one shared_ptr copy keeps the epoch
-  /// swap trivially data-race-free (and TSan-obvious); the pinned snapshot
-  /// itself is immutable, so everything after the copy is lock-free. Every
-  /// reader writes the lock word, so it starts its own cache line: sharing
-  /// one with the fields before it cut read throughput by about 6% with
-  /// three readers and a rebuilder on a 4-vCPU x86 VM.
+  /// Guards the published-snapshot pointer: snapshot() copies it under the
+  /// lock, publish() swaps it. The query paths take it only to refresh a
+  /// stale reader slot, once per reader thread per epoch. snapshot()
+  /// callers still write the lock word on every call, so it starts its own
+  /// cache line.
   alignas(64) mutable std::mutex snapshot_mutex;
   std::shared_ptr<const OracleSnapshot> snapshot;
+
+  /// Epoch of `snapshot`. Written only by publish(); the query paths load
+  /// it to tell whether their reader slot is stale, so a query writes no
+  /// line that other readers read.
+  alignas(64) std::atomic<std::uint64_t> published_epoch{0};
+
+  /// One reader's pin of the published snapshot, indexed by
+  /// obs::thread_slot(). A query locks only its own slot and answers under
+  /// that lock, so publish() can drop a stale pin only between queries.
+  /// Threads whose slots collide modulo kReaderSlots share the lock, which
+  /// costs contention, not correctness.
+  struct alignas(64) ReaderSlot {
+    std::mutex mutex;
+    std::shared_ptr<const OracleSnapshot> snap;
+    /// Epoch of `snap`, 0 while empty. Written under `mutex`; publish()
+    /// reads it without the lock to see that a reader refreshed itself.
+    std::atomic<std::uint64_t> epoch{0};
+  };
+  static constexpr std::size_t kReaderSlots = obs::kShards;
+  mutable ReaderSlot readers[kReaderSlots];
 
   /// Serializes rebuilds; also owns the epoch sequence.
   std::mutex rebuild_mutex;
@@ -60,17 +80,57 @@ struct OracleServer::Impl {
         attr_kernel(obs::MetricsRegistry::instance().histogram(
             "oracle.serve.attr.kernel_ns")) {}
 
+  /// Swaps in `next`, then waits until no reader slot pins an older epoch:
+  /// each slot is refreshed by its own reader's next query, or emptied
+  /// here once its reader is idle. The walk never queues on a slot
+  /// lock: a busy reader re-takes its lock back to back, and behind the
+  /// unfair mutex a queued walk once waited 230 ms in a probe. The old
+  /// snapshot is held until the walk ends, so it is freed here, outside
+  /// every lock, unless a snapshot() caller still holds it.
   void publish(std::shared_ptr<const OracleSnapshot> next) {
+    const std::uint64_t epoch = next->epoch();
     {
-      std::lock_guard<std::mutex> lock(snapshot_mutex);
-      snapshot = std::move(next);
+      const std::lock_guard lock(snapshot_mutex);
+      snapshot.swap(next);
+      published_epoch.store(epoch, std::memory_order_release);
     }
-    epoch_gauge.set(static_cast<double>(last_epoch));
+    for (ReaderSlot& slot : readers) {
+      std::shared_ptr<const OracleSnapshot> stale;
+      // An empty slot is checked under its lock too: its reader may be
+      // between pinning the old snapshot and recording that epoch.
+      while (slot.epoch.load(std::memory_order_acquire) != epoch) {
+        const std::unique_lock lock(slot.mutex, std::try_to_lock);
+        if (lock.owns_lock()) {
+          if (slot.epoch.load(std::memory_order_relaxed) != epoch) {
+            stale = std::move(slot.snap);
+            slot.epoch.store(0, std::memory_order_relaxed);
+          }
+          break;
+        }
+        std::this_thread::yield();
+      }
+    }
+    next.reset();
+    epoch_gauge.set(static_cast<double>(epoch));
   }
 
   [[nodiscard]] std::shared_ptr<const OracleSnapshot> pin() const {
     std::lock_guard<std::mutex> lock(snapshot_mutex);
     return snapshot;
+  }
+
+  /// Runs fn(snapshot) on the published snapshot through the calling
+  /// thread's reader slot, refreshing the slot first if it is stale.
+  template <typename Fn>
+  decltype(auto) with_pinned(Fn&& fn) const {
+    ReaderSlot& slot = readers[obs::thread_slot() % kReaderSlots];
+    const std::lock_guard lock(slot.mutex);
+    if (slot.epoch.load(std::memory_order_relaxed) !=
+        published_epoch.load(std::memory_order_acquire)) {
+      slot.snap = pin();
+      slot.epoch.store(slot.snap->epoch(), std::memory_order_release);
+    }
+    return fn(*slot.snap);
   }
 
   /// Attribution shared by both paths, for `count` queries answered in
@@ -127,7 +187,7 @@ std::shared_ptr<const OracleSnapshot> OracleServer::snapshot() const {
 }
 
 std::uint64_t OracleServer::epoch() const noexcept {
-  return impl_->pin()->epoch();
+  return impl_->published_epoch.load(std::memory_order_acquire);
 }
 
 void OracleServer::rebuild(graph::Graph g) {
@@ -146,7 +206,8 @@ const ServeOptions& OracleServer::options() const noexcept {
 }
 
 Weight OracleServer::query(VertexId s, VertexId t) const {
-  return query_on(*impl_->pin(), s, t);
+  return impl_->with_pinned(
+      [&](const OracleSnapshot& snap) { return query_on(snap, s, t); });
 }
 
 Weight OracleServer::query_on(const OracleSnapshot& snap, VertexId s,
@@ -162,7 +223,9 @@ Weight OracleServer::query_on(const OracleSnapshot& snap, VertexId s,
 
 std::vector<Weight> OracleServer::query_batch(
     std::span<const Query> queries) const {
-  return query_batch_on(*impl_->pin(), queries);
+  return impl_->with_pinned([&](const OracleSnapshot& snap) {
+    return query_batch_on(snap, queries);
+  });
 }
 
 std::vector<Weight> OracleServer::query_batch_on(

@@ -1,13 +1,16 @@
 // Online distance-oracle serving — the read-mostly query layer on top of
 // the compact EarApspEngine queries (see docs/serving.md).
 //
-// OracleServer owns an immutable OracleSnapshot behind a shared_ptr: every
-// reader pins the snapshot it resolves (snapshot() or implicitly per
-// query), rebuild() publishes a freshly built snapshot under the next
-// epoch, and readers still holding the old one finish on it — the old
-// build is freed when its last reader drops the reference. Nothing in a
-// published snapshot is ever mutated, so queries need no locks beyond the
-// one pointer copy.
+// OracleServer owns an immutable OracleSnapshot behind a shared_ptr, and
+// rebuild() publishes a freshly built snapshot under the next epoch.
+// snapshot() hands out a shared_ptr that pins its epoch for as long as the
+// caller holds it. query() and query_batch() pin through a per-thread
+// reader slot instead: each thread locks only its own slot, checks the
+// slot's epoch against the published one, and refreshes the slot once per
+// epoch. rebuild() drops every stale slot pin before it returns, so from
+// then on no query answers from the old epoch, and the old build is freed
+// on the rebuilding thread unless a snapshot() caller still holds it.
+// Nothing in a published snapshot is ever mutated.
 //
 // Two query paths, both the paper's Phase III closed form (PAPER.md §1):
 //   * scalar  — query(s, t) / query_on(snap, s, t): one compact query
@@ -91,12 +94,14 @@ class OracleServer {
   [[nodiscard]] std::shared_ptr<const OracleSnapshot> snapshot() const;
 
   /// Epoch of the currently published snapshot (monotonically increasing).
+  /// One atomic load.
   [[nodiscard]] std::uint64_t epoch() const noexcept;
 
   /// Builds a snapshot from `g` off to the side, then publishes it under
-  /// the next epoch. Readers that pinned the old snapshot drain on it;
-  /// new resolutions see the new one. Safe against concurrent queries;
-  /// concurrent rebuilds serialize.
+  /// the next epoch. Queries in flight finish on the old snapshot, and
+  /// snapshot() callers keep theirs; every query that starts after
+  /// rebuild() returns answers from the new one. Safe against concurrent
+  /// queries; concurrent rebuilds serialize.
   void rebuild(graph::Graph g);
 
   [[nodiscard]] const ServeOptions& options() const noexcept;

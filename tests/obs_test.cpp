@@ -13,8 +13,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -499,6 +502,131 @@ TEST(ObsHistogram, QuantileUnderConcurrentWritersStaysBoundedAndExact) {
     prev = cur;
   }
   EXPECT_LE(prev, hi_bound);
+}
+
+// --- sharded instruments -------------------------------------------------
+
+/// Runs fn(i) on `n` threads that are all alive at once: every thread
+/// claims its thread_slot() before any of them exits, so the threads hold
+/// n distinct slots.
+template <typename Fn>
+void on_live_threads(int n, Fn fn) {
+  std::latch all_started(n);
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    threads.emplace_back([&, i] {
+      fn(i);
+      all_started.arrive_and_wait();
+    });
+  }
+  for (auto& t : threads) t.join();
+}
+
+TEST(ObsSharding, ManyThreadsSumExactlyInEveryReadout) {
+  // More writers than shards, so some shards take writes from two threads.
+  // Every readout must still equal the single-threaded replay exactly.
+  constexpr int kThreads = static_cast<int>(obs::kShards) + 5;
+  constexpr int kPerThread = 3000;
+  const auto value = [](int thread, int i) {
+    return static_cast<std::uint64_t>(thread) * 7919 +
+           static_cast<std::uint64_t>(i) * static_cast<std::uint64_t>(i) %
+               100003;
+  };
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Histogram& h = reg.histogram("obs_test.sharded.latency");
+  obs::Counter& c = reg.counter("obs_test.sharded.events");
+  h.reset();
+  c.reset();
+  on_live_threads(kThreads, [&](int thread) {
+    for (int i = 0; i < kPerThread; ++i) {
+      if (i % 3 == 0) {
+        h.record_n(value(thread, i), 2);
+      } else {
+        h.record(value(thread, i));
+      }
+      c.add(static_cast<std::uint64_t>(thread) + 1);
+    }
+  });
+
+  std::uint64_t count = 0, sum = 0, events = 0;
+  std::uint64_t buckets[obs::Histogram::kNumBuckets] = {};
+  for (int thread = 0; thread < kThreads; ++thread) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const std::uint64_t n = i % 3 == 0 ? 2 : 1;
+      count += n;
+      sum += n * value(thread, i);
+      buckets[obs::Histogram::bucket_index(value(thread, i))] += n;
+      events += static_cast<std::uint64_t>(thread) + 1;
+    }
+  }
+  EXPECT_EQ(h.count(), count);
+  EXPECT_EQ(h.sum(), sum);
+  for (std::size_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(h.bucket_count(i), buckets[i]) << "bucket " << i;
+  }
+  EXPECT_EQ(c.value(), events);
+
+  std::ostringstream prom;
+  reg.write_prometheus(prom);
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("\neardec_obs_test_sharded_latency_count " +
+                      std::to_string(count) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\neardec_obs_test_sharded_latency_sum " +
+                      std::to_string(sum) + "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\neardec_obs_test_sharded_events " +
+                      std::to_string(events) + "\n"),
+            std::string::npos);
+}
+
+TEST(ObsSharding, ResetZeroesEveryShard) {
+  obs::Histogram h;
+  obs::Counter c;
+  std::mutex mu;
+  std::set<std::size_t> shards;
+  on_live_threads(2 * static_cast<int>(obs::kShards), [&](int thread) {
+    h.record(static_cast<std::uint64_t>(thread) + 1);
+    c.add();
+    const std::lock_guard lock(mu);
+    shards.insert(obs::thread_slot() % obs::kShards);
+  });
+  ASSERT_EQ(shards.size(), obs::kShards) << "some shard was never written";
+  ASSERT_EQ(h.count(), 2 * obs::kShards);
+  h.reset();
+  c.reset();
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
+  for (std::size_t i = 0; i < obs::Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(h.bucket_count(i), 0u) << "bucket " << i;
+  }
+  EXPECT_EQ(h.quantile(0.5), 0.0);
+  EXPECT_EQ(c.value(), 0u);
+}
+
+TEST(ObsSharding, ThreadSlotsAreDistinctWhileLiveAndReusedAfterJoin) {
+  constexpr int kThreads = 8;
+  const std::size_t main_slot = obs::thread_slot();
+  EXPECT_EQ(obs::thread_slot(), main_slot) << "a thread's slot is stable";
+  std::vector<std::size_t> slots(kThreads);
+  on_live_threads(kThreads, [&](int thread) {
+    slots[static_cast<std::size_t>(thread)] = obs::thread_slot();
+  });
+  std::set<std::size_t> distinct(slots.begin(), slots.end());
+  EXPECT_EQ(distinct.size(), static_cast<std::size_t>(kThreads));
+  EXPECT_EQ(distinct.count(main_slot), 0u);
+  // Every thread above has exited and handed its slot back, so the next
+  // thread gets the lowest of them again, and a pool of the same size gets
+  // the same set: ids do not grow with the number of threads ever started.
+  std::size_t reused = 0;
+  std::thread([&] { reused = obs::thread_slot(); }).join();
+  EXPECT_EQ(reused, *distinct.begin());
+  std::vector<std::size_t> again(kThreads);
+  on_live_threads(kThreads, [&](int thread) {
+    again[static_cast<std::size_t>(thread)] = obs::thread_slot();
+  });
+  EXPECT_EQ(std::set<std::size_t>(again.begin(), again.end()), distinct);
 }
 
 // --- registry -----------------------------------------------------------

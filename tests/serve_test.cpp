@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <latch>
 #include <memory>
 #include <random>
 #include <stdexcept>
@@ -289,6 +290,135 @@ TEST(OracleServer, SnapshotSwapUnderLoadKeepsReadersConsistent) {
   stop.store(true, std::memory_order_relaxed);
   for (auto& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0u);
+}
+
+// Pin lifetime. Each test below keeps reader threads alive and idle after
+// they answered, the shape under which a per-thread snapshot cache would
+// keep an old build alive (or answer from it) after the server moved on.
+
+/// Reader threads that each answer one query on `server`, then idle until
+/// release(); the destructor releases and joins them.
+class IdleReaders {
+ public:
+  IdleReaders(const serve::OracleServer& server, int n) : answered_(n) {
+    for (int i = 0; i < n; ++i) {
+      threads_.emplace_back([this, &server] {
+        (void)server.query(0, 1);
+        answered_.count_down();
+        released_.wait();
+      });
+    }
+    answered_.wait();
+  }
+  ~IdleReaders() { release(); }
+  IdleReaders(const IdleReaders&) = delete;
+  IdleReaders& operator=(const IdleReaders&) = delete;
+
+  void release() {
+    if (threads_.empty()) return;
+    released_.count_down();
+    for (auto& t : threads_) t.join();
+    threads_.clear();
+  }
+
+ private:
+  std::latch answered_;
+  std::latch released_{1};
+  std::vector<std::thread> threads_;
+};
+
+TEST(OracleServer, RebuildFreesThePreviousEpochDespiteIdleReaders) {
+  const graph::Graph a = test_graph(17);
+  serve::OracleServer server(a, {});
+  const std::weak_ptr<const serve::OracleSnapshot> first = server.snapshot();
+  IdleReaders readers(server, 3);
+  EXPECT_FALSE(first.expired());
+  server.rebuild(eardec::testing::scale_weights(a, 2));
+  EXPECT_TRUE(first.expired())
+      << "an idle reader still pins epoch 1 after rebuild() returned";
+}
+
+TEST(OracleServer, DestroyedServerFreesItsLastSnapshotDespiteIdleReaders) {
+  auto server = std::make_unique<serve::OracleServer>(test_graph(17));
+  const std::weak_ptr<const serve::OracleSnapshot> last = server->snapshot();
+  IdleReaders readers(*server, 3);
+  server.reset();
+  EXPECT_TRUE(last.expired())
+      << "an idle reader keeps a destroyed server's snapshot alive";
+}
+
+TEST(OracleServer, IdleReaderAnswersFromTheRebuiltGraph) {
+  const graph::Graph a = test_graph(17);
+  const graph::Graph b = eardec::testing::scale_weights(a, 2);
+  const VertexId n = a.num_vertices();
+  std::vector<std::vector<Weight>> want_a, want_b;
+  for (VertexId s = 0; s < n; ++s) {
+    want_a.push_back(sssp::dijkstra(a, s).dist);
+    want_b.push_back(sssp::dijkstra(b, s).dist);
+  }
+  serve::OracleServer server(a, {});
+  std::latch answered_a(1), rebuilt(1);
+  std::uint64_t wrong_a = 0, wrong_b = 0;
+  std::thread reader([&] {
+    for (VertexId s = 0; s < n; ++s) {
+      for (VertexId t = 0; t < n; ++t) {
+        if (server.query(s, t) != want_a[s][t]) ++wrong_a;
+      }
+    }
+    answered_a.count_down();
+    rebuilt.wait();
+    for (VertexId s = 0; s < n; ++s) {
+      for (VertexId t = 0; t < n; ++t) {
+        if (server.query(s, t) != want_b[s][t]) ++wrong_b;
+      }
+    }
+  });
+  answered_a.wait();
+  server.rebuild(b);
+  rebuilt.count_down();
+  reader.join();
+  EXPECT_EQ(wrong_a, 0u);
+  EXPECT_EQ(wrong_b, 0u) << "the reader answered from the old graph";
+}
+
+TEST(OracleServer, QueriesDuringRebuildsAnswerFromAPublishedGraph) {
+  // Readers hammer query() through their slots while the main thread
+  // rebuilds back and forth, so slot refreshes race publish()'s walk.
+  // Every answer must come from one of the two graphs, and after each
+  // rebuild the caller's own query sees the graph it just published.
+  const graph::Graph a = test_graph(23, 30);
+  const graph::Graph b = eardec::testing::scale_weights(a, 3);
+  const VertexId n = a.num_vertices();
+  std::vector<std::vector<Weight>> want_a, want_b;
+  for (VertexId s = 0; s < n; ++s) {
+    want_a.push_back(sssp::dijkstra(a, s).dist);
+    want_b.push_back(sssp::dijkstra(b, s).dist);
+  }
+  serve::OracleServer server(a, {});
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937_64 rng(static_cast<std::uint64_t>(r) + 7);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto s = static_cast<VertexId>(rng() % n);
+        const auto t = static_cast<VertexId>(rng() % n);
+        const Weight w = server.query(s, t);
+        if (w != want_a[s][t] && w != want_b[s][t]) ++wrong;
+      }
+    });
+  }
+  for (int k = 0; k < 10; ++k) {
+    const bool to_b = k % 2 == 0;
+    server.rebuild(to_b ? b : a);
+    for (VertexId t = 0; t < n; ++t) {
+      EXPECT_EQ(server.query(1, t), to_b ? want_b[1][t] : want_a[1][t]);
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
 }
 
 #if defined(__unix__)

@@ -219,7 +219,8 @@ def check_oracle_serve(path):
     the full mix x path grid, monotone service and open-loop quantiles,
     a nonzero verification sample in every cell, and zero mismatches vs
     Dijkstra anywhere (the load harness asserts this too — here it is
-    re-checked from the snapshot so a stale or hand-edited file fails)."""
+    re-checked from the snapshot so a stale or hand-edited file fails),
+    then the closed-loop reader-scaling cells."""
     doc = load(path)
     cells = doc.get("cells")
     require(isinstance(cells, list) and cells,
@@ -251,6 +252,50 @@ def check_oracle_serve(path):
     for mix in ORACLE_MIXES:
         for p in SERVE_PATHS:
             require((mix, p) in grid_seen, f"{path}: no ({mix}, {p}) cell")
+    check_reader_scaling(doc, path)
+
+
+READER_SCALING_KEYS = ("name", "access", "readers", "queries", "seconds",
+                       "qps", "sampled", "mismatches")
+READER_ACCESS = ("server_query", "snapshot_query", "pinned_query")
+READER_COUNTS = (1, 3)
+
+
+def check_reader_scaling(doc, path):
+    """Shape gate for the closed-loop reader-scaling cells: the full
+    access x readers grid, each cell named once (the name is its identity
+    under compare_bench.py), positive throughput, and a nonzero, clean
+    verification sample."""
+    cells = doc.get("reader_scaling")
+    require(isinstance(cells, list) and cells,
+            f"{path}: reader_scaling missing or empty")
+    grid_seen = set()
+    names_seen = set()
+    for i, cell in enumerate(cells):
+        where = f"{path}: reader_scaling[{i}]"
+        for key in READER_SCALING_KEYS:
+            require(key in cell, f"{where}.{key} missing")
+        require(cell["access"] in READER_ACCESS,
+                f"{where}.access unknown: {cell['access']}")
+        require(cell["readers"] in READER_COUNTS,
+                f"{where}.readers unexpected: {cell['readers']}")
+        require(cell["name"] not in names_seen,
+                f"{where}.name {cell['name']} repeats")
+        names_seen.add(cell["name"])
+        require(cell["seconds"] > 0, f"{where}.seconds <= 0")
+        require(cell["queries"] > 0, f"{where}.queries <= 0")
+        require(cell["qps"] > 0, f"{where}.qps <= 0")
+        require(cell["sampled"] > 0,
+                f"{where}.sampled == 0 (no verification ran)")
+        require(cell["mismatches"] == 0,
+                f"{where} served {cell['mismatches']} answers that differ "
+                "from Dijkstra")
+        grid_seen.add((cell["access"], cell["readers"]))
+    for access in READER_ACCESS:
+        for readers in READER_COUNTS:
+            require((access, readers) in grid_seen,
+                    f"{path}: no reader_scaling cell for {access} with "
+                    f"{readers} reader(s)")
 
 
 SCALING_PHASE_KEYS = ("generate", "build_csr", "write_edg2", "load_mmap",
