@@ -59,7 +59,7 @@ struct EarApspEngine::Impl {
   /// precomputed once in phase I so block_distance never re-derives chain
   /// anchors in its inner loop.
   std::vector<std::vector<Exits>> exits;
-  std::vector<Weight> ap_table;  // a x a, row-major by cut index
+  sssp::PageVector<Weight> ap_table;  // a x a, row-major by cut index
   std::optional<hetero::Device> device;
   /// One pool shared by every parallel phase (0, I, III) and reused by the
   /// EarApsp block-table materialization.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "sssp/page_allocator.hpp"
 
 namespace eardec::sssp {
 
@@ -16,7 +17,8 @@ using graph::Graph;
 using graph::VertexId;
 using graph::Weight;
 
-/// Dense n x n distance matrix with flat row-major storage.
+/// Dense n x n distance matrix with flat row-major storage; large matrices
+/// live in their own mapped pages (PageAllocator).
 class DistanceMatrix {
  public:
   DistanceMatrix() = default;
@@ -43,7 +45,7 @@ class DistanceMatrix {
 
  private:
   VertexId n_ = 0;
-  std::vector<Weight> data_;
+  PageVector<Weight> data_;
 };
 
 /// Adjacency-seeded matrix: 0 diagonal, min parallel-edge weight elsewhere.
