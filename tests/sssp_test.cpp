@@ -1,6 +1,9 @@
 // Tests for the SSSP/APSP kernels: Dijkstra (tree + workspace), the
 // device frontier kernel, and Floyd–Warshall. The three must agree exactly
-// with one another on every graph.
+// with one another on every graph. Also the page-backed table allocator.
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "graph/builder.hpp"
@@ -8,6 +11,7 @@
 #include "sssp/dijkstra.hpp"
 #include "sssp/floyd_warshall.hpp"
 #include "sssp/frontier_sssp.hpp"
+#include "sssp/page_allocator.hpp"
 
 namespace eardec::sssp {
 namespace {
@@ -163,6 +167,41 @@ TEST(FloydWarshall, MatrixHelpers) {
 TEST(FloydWarshall, EmptyGraph) {
   const DistanceMatrix d = floyd_warshall(Graph{});
   EXPECT_EQ(d.size(), 0u);
+}
+
+TEST(PageAllocator, RetiredTableServesTheNextOfItsSize) {
+  if (!kPageBackedTables) GTEST_SKIP() << "tables come from operator new here";
+  constexpr std::size_t kN = kMapBytes / sizeof(Weight) + 3;
+  const Weight* first = nullptr;
+  {
+    PageVector<Weight> a(kN, 1.0);
+    first = a.data();
+  }
+  // The next table of that size reuses the retired mapping, fully
+  // constructed with its own values.
+  const PageVector<Weight> b(kN, 2.0);
+  EXPECT_EQ(b.data(), first);
+  EXPECT_EQ(std::count(b.begin(), b.end(), 2.0), static_cast<long>(kN));
+  // Small tables never touch the mappings.
+  const PageVector<Weight> small(16, 3.0);
+  EXPECT_EQ(small[15], 3.0);
+}
+
+TEST(PageAllocator, KeepsTheNewestRetiredMappings) {
+  if (!kPageBackedTables) GTEST_SKIP() << "tables come from operator new here";
+  // More retired sizes than slots: the oldest are unmapped to make room and
+  // the newest stay kept for reuse.
+  std::vector<PageVector<Weight>> tables;
+  std::vector<const Weight*> data;
+  for (std::size_t i = 0; i < kRetiredMappings + 2; ++i) {
+    tables.emplace_back((kMapBytes << i) / sizeof(Weight), static_cast<Weight>(i));
+    data.push_back(tables.back().data());
+  }
+  for (PageVector<Weight>& t : tables) t = PageVector<Weight>();  // oldest first
+  const PageVector<Weight> newest((kMapBytes << (kRetiredMappings + 1)) / sizeof(Weight),
+                                  7.0);
+  EXPECT_EQ(newest.data(), data.back());
+  EXPECT_EQ(newest.back(), 7.0);
 }
 
 }  // namespace
