@@ -31,6 +31,20 @@ struct Exits {
   std::size_t count;
 };
 
+/// The head [0, s] of a full distance row from source s.
+void keep_head(std::span<const Weight> row, std::span<Weight> head) {
+  std::copy_n(row.begin(), head.size(), head.begin());
+}
+
+/// Calls f(v, S(e, v)) for every v of the triangle's row e: the head of
+/// row e for v <= e, then one cell of each later row.
+template <typename F>
+void sweep_row(const TriangleMatrix& s, VertexId e, const F& f) {
+  const std::span<const Weight> head = s.head(e);
+  for (VertexId v = 0; v <= e; ++v) f(v, head[v]);
+  for (VertexId v = e + 1; v < s.size(); ++v) f(v, s.at(v, e));
+}
+
 Exits exits_of(const reduce::ReducedGraph& r, VertexId local) {
   const VertexId ru = r.to_reduced(local);
   if (ru != graph::kNullVertex) {
@@ -53,13 +67,14 @@ struct EarApspEngine::Impl {
   std::optional<connectivity::TreeLca> lca;
   std::vector<connectivity::SubgraphView> views;
   std::vector<reduce::ReducedGraph> reduced;
-  std::vector<DistanceMatrix> rtables;
+  /// S^r per component, packed: S^r is symmetric, so row s keeps [0, s].
+  std::vector<TriangleMatrix> rtables;
   std::vector<std::unordered_map<VertexId, VertexId>> local_of;
   /// Per component, per component-local vertex: its reduced-graph exits,
   /// precomputed once in phase I so block_distance never re-derives chain
   /// anchors in its inner loop.
   std::vector<std::vector<Exits>> exits;
-  sssp::PageVector<Weight> ap_table;  // a x a, row-major by cut index
+  TriangleMatrix ap_table;  // by cut index
   std::optional<hetero::Device> device;
   /// One pool shared by every parallel phase (0, I, III) and reused by the
   /// EarApsp block-table materialization.
@@ -160,8 +175,9 @@ struct EarApspEngine::Impl {
 
   // Phase II: APSP over every reduced graph. Work units are blocks of
   // sources of one component, sized by component for the sorted queue.
-  // Every worker thread owns one pre-sized workspace (largest reduced
-  // component), so the drain performs no per-unit allocation.
+  // Every worker thread owns pre-sized workspaces and a scratch row
+  // (largest reduced component), so the drain performs no per-unit
+  // allocation.
   void process() {
     obs::ScopedPhase phase(timings.process, "apsp.process",
                            "apsp.phase.process_s");
@@ -176,7 +192,7 @@ struct EarApspEngine::Impl {
     for (std::uint32_t c = 0; c < reduced.size(); ++c) {
       const VertexId nr = reduced[c].graph().num_vertices();
       max_nr = std::max(max_nr, nr);
-      rtables[c] = DistanceMatrix(nr);
+      rtables[c] = TriangleMatrix(nr);
       sssp_runs += nr;
       for (VertexId s = 0; s < nr; s += opts.sources_per_unit) {
         const auto id = static_cast<std::uint32_t>(units.size());
@@ -186,36 +202,53 @@ struct EarApspEngine::Impl {
       }
     }
 
-    const unsigned cpu_workers =
-        pool ? std::max(1u, opts.cpu_threads) : 1;
-    std::vector<sssp::DijkstraWorkspace> cpu_ws(cpu_workers);
-    for (auto& ws : cpu_ws) ws.ensure(max_nr);
     // The batched kernel processes at most kMaxSourceLanes sources per
     // sweep; wider units are split into lane-block passes inside cpu_fn.
     const std::uint32_t ms_lanes =
         std::min<std::uint32_t>(std::max<std::uint32_t>(
                                     opts.sources_per_unit, 1),
                                 sssp::kMaxSourceLanes);
-    std::vector<sssp::MultiSourceWorkspace> ms_ws(cpu_workers);
-    for (auto& ws : ms_ws) ws.ensure(max_nr, ms_lanes);
+    // One per CPU worker, each on its own cache lines: the kernels write
+    // their workspaces' vector headers in every frontier round, and with
+    // neighbouring workers' workspaces sharing a line phase II ran about
+    // 12 % slower at 4 threads on table1_scale(20000).
+    struct alignas(64) CpuWorker {
+      sssp::DijkstraWorkspace dijkstra;
+      sssp::MultiSourceWorkspace multi_source;
+      /// Dijkstra fills a whole row; row s keeps only its head [0, s].
+      std::vector<Weight> row;
+    };
+    std::vector<CpuWorker> cpu_workers(pool ? std::max(1u, opts.cpu_threads)
+                                            : 1);
+    for (CpuWorker& w : cpu_workers) {
+      w.dijkstra.ensure(max_nr);
+      w.multi_source.ensure(max_nr, ms_lanes);
+      w.row.resize(max_nr);
+    }
     sssp::DeltaSteppingWorkspace device_ws;  // single device driver thread
-    if (device) device_ws.ensure(max_nr);
+    std::vector<Weight> device_row;
+    if (device) {
+      device_ws.ensure(max_nr);
+      device_row.resize(max_nr);
+    }
 
     const auto cpu_fn = [&](const hetero::WorkUnit& wu, unsigned worker) {
       EARDEC_TRACE_SCOPE("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
       const Graph& rg = reduced[u.comp].graph();
+      CpuWorker& w = cpu_workers[worker];
       if (u.src_end - u.src_begin >= kMultiSourceMinLanes &&
           rg.num_vertices() >= kMultiSourceMinVertices) {
-        sssp::MultiSourceWorkspace& ws = ms_ws[worker];
         for (VertexId s = u.src_begin; s < u.src_end; s += ms_lanes) {
-          ws.distances(rg, s, std::min<VertexId>(s + ms_lanes, u.src_end),
-                       rtables[u.comp]);
+          w.multi_source.distances(
+              rg, s, std::min<VertexId>(s + ms_lanes, u.src_end),
+              rtables[u.comp]);
         }
       } else {
-        sssp::DijkstraWorkspace& ws = cpu_ws[worker];
+        const std::span<Weight> row(w.row.data(), rg.num_vertices());
         for (VertexId s = u.src_begin; s < u.src_end; ++s) {
-          ws.distances(rg, s, rtables[u.comp].row(s));
+          w.dijkstra.distances(rg, s, row);
+          keep_head(row, rtables[u.comp].head(s));
         }
       }
     };
@@ -223,9 +256,10 @@ struct EarApspEngine::Impl {
       EARDEC_TRACE_SCOPE("apsp.sssp_block", "comp", units[wu.id].comp);
       const Unit& u = units[wu.id];
       const Graph& rg = reduced[u.comp].graph();
+      const std::span<Weight> row(device_row.data(), rg.num_vertices());
       for (VertexId s = u.src_begin; s < u.src_end; ++s) {
-        device_ws.distances(rg, s, rtables[u.comp].row(s), 0, nullptr,
-                            &*device);
+        device_ws.distances(rg, s, row, 0, nullptr, &*device);
+        keep_head(row, rtables[u.comp].head(s));
       }
     };
 
@@ -268,7 +302,7 @@ struct EarApspEngine::Impl {
                                       VertexId lv) const {
     if (lu == lv) return 0;
     const reduce::ReducedGraph& r = reduced[comp];
-    const DistanceMatrix& s = rtables[comp];
+    const TriangleMatrix& s = rtables[comp];
     const Exits& eu = exits[comp][lu];
     const Exits& ev = exits[comp][lv];
     Weight best = graph::kInfWeight;
@@ -308,20 +342,20 @@ struct EarApspEngine::Impl {
                           std::span<Weight> out,
                           std::vector<Weight>& anchor_row) const {
     const reduce::ReducedGraph& r = reduced[comp];
-    const DistanceMatrix& s = rtables[comp];
+    const TriangleMatrix& s = rtables[comp];
     const VertexId nr = r.graph().num_vertices();
     const Exits& eu = exits[comp][lu];
 
     anchor_row.resize(nr);
-    const std::span<const Weight> s0 = s.row(eu.e[0].first);
     const Weight d0 = eu.e[0].second;
-    for (VertexId rv = 0; rv < nr; ++rv) anchor_row[rv] = d0 + s0[rv];
+    sweep_row(s, eu.e[0].first, [&](VertexId rv, Weight w) {
+      anchor_row[rv] = d0 + w;
+    });
     if (eu.count == 2) {
-      const std::span<const Weight> s1 = s.row(eu.e[1].first);
       const Weight d1 = eu.e[1].second;
-      for (VertexId rv = 0; rv < nr; ++rv) {
-        anchor_row[rv] = std::min(anchor_row[rv], d1 + s1[rv]);
-      }
+      sweep_row(s, eu.e[1].first, [&](VertexId rv, Weight w) {
+        anchor_row[rv] = std::min(anchor_row[rv], d1 + w);
+      });
     }
 
     // Kept vertices read their reduced entry directly; chain interiors
@@ -352,21 +386,55 @@ struct EarApspEngine::Impl {
     out[lu] = 0;
   }
 
-  // Phase III stage 2: distances between all articulation points, by
-  // accumulating within-block cut-to-cut distances along the (unique)
-  // block-cut tree paths from each source articulation point.
+  // Phase III stage 2: distances between all articulation points, in two
+  // passes over the AP triangle.
+  //
+  // Pass 1 (parallel over blocks) writes every same-block pair of cuts.
+  // Cuts are kept vertices, so such a distance is one S^r cell, equal bit
+  // for bit to block_distance. Each block reads its cut rows in ascending
+  // reduced id, so every read is a head read. Two cuts share at most one
+  // block, so the blocks write disjoint cells.
+  //
+  // Pass 2 (parallel over source APs) walks the block-cut tree from each
+  // source, accumulating the pass-1 legs along the unique tree path, and
+  // writes only the cross-block cells of its own row (the columns below
+  // it). Pass 2 reads only same-block cells, so its reads and writes never
+  // meet.
   void build_ap_table() {
     obs::ScopedPhase phase(timings.ap_table, "apsp.ap_table",
                            "apsp.phase.ap_table_s");
     const auto& cuts = bct->cut_vertices();
     const auto a = static_cast<std::uint32_t>(cuts.size());
-    ap_table.assign(static_cast<std::size_t>(a) * a, graph::kInfWeight);
+    const std::uint32_t num_blocks = bct->num_blocks();
+    ap_table = TriangleMatrix(a);
 
-    // One tree traversal per source AP; parallel across sources.
+    parallel_over(num_blocks, [&](std::size_t block) {
+      const auto b = static_cast<std::uint32_t>(block);
+      // (reduced id, cut index) of every cut of block b.
+      static thread_local std::vector<std::pair<VertexId, std::uint32_t>>
+          block_cuts;
+      block_cuts.clear();
+      for (const std::uint32_t nb : bct->neighbors(b)) {
+        const std::uint32_t ci = nb - num_blocks;
+        block_cuts.emplace_back(
+            reduced[b].to_reduced(local_of[b].at(cuts[ci])), ci);
+      }
+      std::sort(block_cuts.begin(), block_cuts.end());
+      const TriangleMatrix& s = rtables[b];
+      for (std::size_t i = 1; i < block_cuts.size(); ++i) {
+        const std::span<const Weight> head = s.head(block_cuts[i].first);
+        for (std::size_t j = 0; j < i; ++j) {
+          ap_table.at(block_cuts[i].second, block_cuts[j].second) =
+              head[block_cuts[j].first];
+        }
+      }
+    });
+
     const auto source_walk = [&](std::size_t ai) {
       EARDEC_TRACE_SCOPE("apsp.ap_source_walk", "source", ai);
-      Weight* row = ap_table.data() + ai * a;
-      row[ai] = 0;
+      const auto source = static_cast<std::uint32_t>(ai);
+      const std::span<Weight> row = ap_table.head(source);
+      row[source] = 0;
       // DFS over tree nodes, carrying the distance at the entry cut.
       struct Frame {
         std::uint32_t node;
@@ -374,23 +442,20 @@ struct EarApspEngine::Impl {
         Weight dist;  // distance from source AP to this node's entry cut
       };
       constexpr std::uint32_t kNone = UINT32_MAX;
-      std::vector<Frame> stack{{bct->cut_node(static_cast<std::uint32_t>(ai)),
-                                kNone, 0.0}};
+      const std::uint32_t source_node = bct->cut_node(source);
+      std::vector<Frame> stack{{source_node, kNone, 0.0}};
       while (!stack.empty()) {
         const Frame f = stack.back();
         stack.pop_back();
-        if (f.node < bct->num_blocks()) {
+        if (f.node < num_blocks) {
           // Block node entered through cut `from` (always a cut node id).
-          const std::uint32_t b = f.node;
-          const VertexId entry_cut = cuts[f.from - bct->num_blocks()];
-          const VertexId entry_local = local_of[b].at(entry_cut);
+          const std::uint32_t entry = f.from - num_blocks;
           for (const std::uint32_t nb : bct->neighbors(f.node)) {
             if (nb == f.from) continue;
-            const std::uint32_t ci = nb - bct->num_blocks();
-            const VertexId cut_local = local_of[b].at(cuts[ci]);
-            const Weight d =
-                f.dist + block_distance(b, entry_local, cut_local);
-            if (d < row[ci]) row[ci] = d;
+            const std::uint32_t ci = nb - num_blocks;
+            const Weight d = f.dist + ap_table.at(entry, ci);
+            // Blocks next to the source hold its same-block pairs (pass 1).
+            if (ci < source && f.from != source_node) row[ci] = d;
             stack.push_back({nb, f.node, d});
           }
         } else {
@@ -484,10 +549,7 @@ struct EarApspEngine::Impl {
   }
 
   [[nodiscard]] Weight ap_distance(VertexId u, VertexId v) const {
-    const std::uint32_t iu = bct->cut_index(u);
-    const std::uint32_t iv = bct->cut_index(v);
-    const auto a = bct->cut_vertices().size();
-    return ap_table[static_cast<std::size_t>(iu) * a + iv];
+    return ap_table.at(bct->cut_index(u), bct->cut_index(v));
   }
 
   /// The one copy of the closed-form point-to-point routing. Same-block
@@ -591,8 +653,11 @@ const connectivity::SubgraphView& EarApspEngine::component(
     std::uint32_t comp) const {
   return impl_->views.at(comp);
 }
-const DistanceMatrix& EarApspEngine::reduced_table(std::uint32_t comp) const {
+const TriangleMatrix& EarApspEngine::reduced_table(std::uint32_t comp) const {
   return impl_->rtables.at(comp);
+}
+const TriangleMatrix& EarApspEngine::ap_table() const {
+  return impl_->ap_table;
 }
 Weight EarApspEngine::block_distance(std::uint32_t comp, VertexId local_u,
                                      VertexId local_v) const {

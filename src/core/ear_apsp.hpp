@@ -19,7 +19,9 @@
 //                        O(a^2 + Σ n_i^2), Table 1's "Our's Memory").
 //   * EarApspEngine    — compact extension: query() reads only the reduced
 //                        tables and evaluates the left/right formulas per
-//                        query (memory O(a^2 + Σ (n^r_i)^2)).
+//                        query. S^r_i and the AP table are symmetric and
+//                        stored as packed lower triangles (TriangleMatrix):
+//                        memory O(a^2/2 + Σ (n^r_i)^2/2).
 #pragma once
 
 #include <algorithm>
@@ -45,6 +47,7 @@ using graph::Graph;
 using graph::VertexId;
 using graph::Weight;
 using sssp::DistanceMatrix;
+using sssp::TriangleMatrix;
 
 /// Which resources execute phases II/III.
 enum class ExecutionMode {
@@ -110,8 +113,11 @@ class EarApspEngine {
   /// The component extracted as a standalone graph (local ids).
   [[nodiscard]] const connectivity::SubgraphView& component(
       std::uint32_t comp) const;
-  /// S^r table of component `comp` (indexed by reduced-local vertex ids).
-  [[nodiscard]] const DistanceMatrix& reduced_table(std::uint32_t comp) const;
+  /// S^r table of component `comp` (indexed by reduced-local vertex ids),
+  /// packed as a lower triangle.
+  [[nodiscard]] const TriangleMatrix& reduced_table(std::uint32_t comp) const;
+  /// The articulation-point table, indexed by BlockCutTree cut index.
+  [[nodiscard]] const TriangleMatrix& ap_table() const;
 
   /// Distance between two vertices *inside* component `comp`, given by
   /// component-local ids, evaluated through the reduced table and the

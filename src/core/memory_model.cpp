@@ -16,10 +16,11 @@ MemoryUsage compute_memory_usage(
     const std::uint64_t ni = bcc.component_vertices(c).size();
     const std::uint64_t nr = reduced_sizes[c];
     mu.block_tables_bytes += ni * ni * kEntry;
-    mu.compact_tables_bytes += nr * nr * kEntry;
+    mu.compact_tables_bytes += nr * (nr + 1) / 2 * kEntry;
   }
   const auto a = static_cast<std::uint64_t>(bcc.num_articulation_points());
   mu.ap_table_bytes = a * a * kEntry;
+  mu.compact_ap_table_bytes = a * (a + 1) / 2 * kEntry;
   const std::uint64_t n = g.num_vertices();
   mu.full_table_bytes = n * n * kEntry;
   return mu;

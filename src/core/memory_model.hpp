@@ -1,6 +1,7 @@
 // Memory accounting for the APSP result storage — the paper's Table 1
 // comparison: O(a^2 + Σ n_i^2) for the block-decomposed representation vs
-// O(n^2) for the monolithic all-pairs table.
+// O(n^2) for the monolithic all-pairs table — and the compact engine's
+// packed triangles, O(a^2/2 + Σ (n_i^r)^2/2).
 #pragma once
 
 #include <cstdint>
@@ -15,9 +16,13 @@ struct MemoryUsage {
   std::uint64_t block_tables_bytes = 0;
   /// Bytes for the articulation-point table: a^2 entries.
   std::uint64_t ap_table_bytes = 0;
-  /// Bytes for the compact (reduced-graph) variant: Σ (n_i^r)^2 entries
-  /// plus per-chain bookkeeping.
+  /// Bytes for the compact (reduced-graph) variant's tables: S^r_i is
+  /// symmetric and stored as a packed triangle, Σ n_i^r (n_i^r + 1) / 2
+  /// entries.
   std::uint64_t compact_tables_bytes = 0;
+  /// Bytes for the compact variant's AP table, also a packed triangle:
+  /// a (a + 1) / 2 entries.
+  std::uint64_t compact_ap_table_bytes = 0;
   /// Bytes a monolithic n x n table would need.
   std::uint64_t full_table_bytes = 0;
 
@@ -32,7 +37,8 @@ struct MemoryUsage {
     return static_cast<double>(full_table_bytes) / (1024.0 * 1024.0);
   }
   [[nodiscard]] double compact_mb() const {
-    return static_cast<double>(compact_tables_bytes + ap_table_bytes) /
+    return static_cast<double>(compact_tables_bytes +
+                               compact_ap_table_bytes) /
            (1024.0 * 1024.0);
   }
 };

@@ -1,9 +1,11 @@
-// The dense n x n distance matrix every APSP table is stored in, and
-// textbook Floyd–Warshall, the classical dense baseline the APSP literature
-// (Buluc, Matsumoto, Katz — see the paper's related work) builds on. Here it
-// is the independent oracle the APSP tests compare against.
+// The dense n x n distance matrix, its packed lower-triangle form for the
+// symmetric snapshot tables (S^r and the AP table), and textbook
+// Floyd–Warshall, the classical dense baseline the APSP literature (Buluc,
+// Matsumoto, Katz — see the paper's related work) builds on. Here it is the
+// independent oracle the APSP tests compare against.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -44,6 +46,45 @@ class DistanceMatrix {
   }
 
  private:
+  VertexId n_ = 0;
+  PageVector<Weight> data_;
+};
+
+/// Packed lower triangle of a symmetric n x n distance table: n(n+1)/2
+/// cells, row i holding columns [0, i] at offset i(i+1)/2. A cell (i, j) is
+/// read from the row of max(i, j) — one min/max and one multiply, no branch
+/// and no row-offset table. Large triangles live in their own mapped pages,
+/// as DistanceMatrix does.
+class TriangleMatrix {
+ public:
+  TriangleMatrix() = default;
+  explicit TriangleMatrix(VertexId n)
+      : n_(n), data_(offset(n), graph::kInfWeight) {}
+
+  [[nodiscard]] VertexId size() const noexcept { return n_; }
+  [[nodiscard]] Weight& at(VertexId i, VertexId j) {
+    return data_[offset(std::max(i, j)) + std::min(i, j)];
+  }
+  [[nodiscard]] Weight at(VertexId i, VertexId j) const {
+    return data_[offset(std::max(i, j)) + std::min(i, j)];
+  }
+  /// Columns [0, i] of row i as a contiguous span.
+  [[nodiscard]] std::span<Weight> head(VertexId i) {
+    return {data_.data() + offset(i), static_cast<std::size_t>(i) + 1};
+  }
+  [[nodiscard]] std::span<const Weight> head(VertexId i) const {
+    return {data_.data() + offset(i), static_cast<std::size_t>(i) + 1};
+  }
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return data_.size() * sizeof(Weight);
+  }
+
+ private:
+  /// Cells before row i: i(i+1)/2.
+  [[nodiscard]] static std::size_t offset(VertexId i) noexcept {
+    return static_cast<std::size_t>(i) * (static_cast<std::size_t>(i) + 1) / 2;
+  }
+
   VertexId n_ = 0;
   PageVector<Weight> data_;
 };

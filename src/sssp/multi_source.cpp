@@ -19,30 +19,77 @@ void MultiSourceWorkspace::ensure(VertexId num_vertices, std::uint32_t lanes) {
   next_.reserve(num_vertices);
 }
 
-void MultiSourceWorkspace::distances(const Graph& g, VertexId src_begin,
-                                     VertexId src_end, DistanceMatrix& out) {
+namespace {
+
+/// The identity lane mapping of a contiguous source range (<= 64 entries).
+struct RangeLanes {
+  std::array<VertexId, kMaxSourceLanes> sources;
+  std::uint32_t k;
+  [[nodiscard]] std::span<const VertexId> span() const {
+    return {sources.data(), k};
+  }
+};
+
+RangeLanes range_lanes(const Graph& g, VertexId src_begin, VertexId src_end) {
   if (src_begin >= src_end || src_end > g.num_vertices()) {
     throw std::out_of_range("MultiSourceWorkspace: bad source range");
   }
-  // Delegate to the arbitrary-source kernel; a contiguous range is just the
-  // identity lane mapping. The lane list is tiny (<= 64 entries).
-  std::array<VertexId, kMaxSourceLanes> sources;
-  const std::uint32_t k = src_end - src_begin;
-  if (k > kMaxSourceLanes) {
+  if (src_end - src_begin > kMaxSourceLanes) {
     throw std::invalid_argument("MultiSourceWorkspace: range wider than 64");
   }
-  for (std::uint32_t lane = 0; lane < k; ++lane) {
-    sources[lane] = src_begin + lane;
+  RangeLanes r{{}, src_end - src_begin};
+  for (std::uint32_t lane = 0; lane < r.k; ++lane) {
+    r.sources[lane] = src_begin + lane;
   }
-  distances(g, std::span<const VertexId>(sources.data(), k), out);
+  return r;
+}
+
+}  // namespace
+
+void MultiSourceWorkspace::distances(const Graph& g, VertexId src_begin,
+                                     VertexId src_end, DistanceMatrix& out) {
+  distances(g, range_lanes(g, src_begin, src_end).span(), out);
 }
 
 void MultiSourceWorkspace::distances(const Graph& g,
                                      std::span<const VertexId> sources,
                                      DistanceMatrix& out) {
+  if (!relax(g, sources, out.size())) return;
+  // Transpose the lane block into the row-major output: lane-major so the
+  // writes stream sequentially through each row.
+  const auto k = static_cast<std::uint32_t>(sources.size());
+  const VertexId n = g.num_vertices();
+  for (std::uint32_t lane = 0; lane < k; ++lane) {
+    const std::span<Weight> row = out.row(sources[lane]);
+    const Weight* col = dist_.data() + lane;
+    for (VertexId v = 0; v < n; ++v) {
+      row[v] = col[static_cast<std::size_t>(v) * k];
+    }
+  }
+}
+
+void MultiSourceWorkspace::distances(const Graph& g, VertexId src_begin,
+                                     VertexId src_end, TriangleMatrix& out) {
+  const RangeLanes lanes = range_lanes(g, src_begin, src_end);
+  if (!relax(g, lanes.span(), out.size())) return;
+  // Row s keeps only its head [0, s]; the lane's cells past s sit in the
+  // heads of later rows, which their own sources write.
+  const std::uint32_t k = lanes.k;
+  for (std::uint32_t lane = 0; lane < k; ++lane) {
+    const std::span<Weight> head = out.head(lanes.sources[lane]);
+    const Weight* col = dist_.data() + lane;
+    for (VertexId v = 0; v < head.size(); ++v) {
+      head[v] = col[static_cast<std::size_t>(v) * k];
+    }
+  }
+}
+
+bool MultiSourceWorkspace::relax(const Graph& g,
+                                 std::span<const VertexId> sources,
+                                 VertexId out_size) {
   const VertexId n = g.num_vertices();
   const auto k = static_cast<std::uint32_t>(sources.size());
-  if (k == 0) return;
+  if (k == 0) return false;
   for (const VertexId s : sources) {
     if (s >= n) throw std::out_of_range("MultiSourceWorkspace: bad source");
   }
@@ -51,7 +98,7 @@ void MultiSourceWorkspace::distances(const Graph& g,
     throw std::invalid_argument(
         "MultiSourceWorkspace: ensure() capacity too small for this batch");
   }
-  if (out.size() != n) {
+  if (out_size != n) {
     throw std::invalid_argument("MultiSourceWorkspace: bad output matrix");
   }
 
@@ -101,15 +148,7 @@ void MultiSourceWorkspace::distances(const Graph& g,
     next_.clear();
   }
 
-  // Transpose the lane block into the row-major output: lane-major so the
-  // writes stream sequentially through each row.
-  for (std::uint32_t lane = 0; lane < k; ++lane) {
-    const std::span<Weight> row = out.row(sources[lane]);
-    const Weight* col = dist_.data() + lane;
-    for (VertexId v = 0; v < n; ++v) {
-      row[v] = col[static_cast<std::size_t>(v) * k];
-    }
-  }
+  return true;
 }
 
 }  // namespace eardec::sssp

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sssp/floyd_warshall.hpp"  // DistanceMatrix
+#include "sssp/floyd_warshall.hpp"  // DistanceMatrix, TriangleMatrix
 
 namespace eardec::sssp {
 
@@ -68,10 +68,21 @@ class MultiSourceWorkspace {
   void distances(const Graph& g, std::span<const VertexId> sources,
                  DistanceMatrix& out);
 
+  /// Triangle form of the range call: row s keeps only its head [0, s]
+  /// (TriangleMatrix). Same kernel; only the transpose is cut short.
+  void distances(const Graph& g, VertexId src_begin, VertexId src_end,
+                 TriangleMatrix& out);
+
   /// Frontier rounds used by the last run (diagnostics / bench axes).
   [[nodiscard]] std::uint32_t last_rounds() const noexcept { return rounds_; }
 
  private:
+  /// Validates the batch against the workspace and an output of `out_size`
+  /// rows, then runs the kernel into the lane block. False for an empty
+  /// batch.
+  bool relax(const Graph& g, std::span<const VertexId> sources,
+             VertexId out_size);
+
   std::uint32_t lane_capacity_ = 0;
   std::uint32_t rounds_ = 0;
   std::vector<Weight> dist_;            ///< n * lanes, lane-strided

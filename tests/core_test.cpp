@@ -358,6 +358,32 @@ TEST(EarApsp, MemoryModelOrdering) {
   EXPECT_GT(mu.compact_mb(), 0.0);
 }
 
+TEST(EarApsp, CompactModelCountsTheTablesTheEngineHolds) {
+  // The compact model is the packed triangles the engine allocates, to the
+  // byte; the paper's column stays square.
+  Graph g = gen::block_tree({.num_blocks = 12,
+                             .largest_block = 40,
+                             .small_block_min = 3,
+                             .small_block_max = 8,
+                             .pendants = 6},
+                            9);
+  g = gen::subdivide(g, 80, 10);
+  const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});
+  const MemoryUsage& mu = oracle.memory();
+  std::uint64_t table_bytes = 0;
+  for (std::uint32_t c = 0; c < oracle.num_components(); ++c) {
+    table_bytes += oracle.reduced_table(c).bytes();
+  }
+  EXPECT_EQ(mu.compact_tables_bytes, table_bytes);
+  EXPECT_EQ(mu.compact_ap_table_bytes, oracle.ap_table().bytes());
+  EXPECT_DOUBLE_EQ(
+      mu.compact_mb() * 1024 * 1024,
+      static_cast<double>(table_bytes + oracle.ap_table().bytes()));
+  const std::uint64_t a = oracle.block_cut_tree().cut_vertices().size();
+  ASSERT_GT(a, 1u);
+  EXPECT_EQ(mu.ap_table_bytes, a * a * sizeof(graph::Weight));
+}
+
 TEST(EarApsp, QueriesValidateArguments) {
   const Graph g = gen::cycle(4);
   const EarApspEngine oracle(g, {.mode = ExecutionMode::Sequential});

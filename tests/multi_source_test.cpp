@@ -58,7 +58,7 @@ void expect_matches_dijkstra(const Graph& g, ExecutionMode mode,
 class MultiSourceSchedulerTest
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(MultiSourceSchedulerTest, ForcedMultiSourceMatchesSequentialDijkstra) {
+TEST_P(MultiSourceSchedulerTest, MulticoreMatchesDijkstraAcrossUnitWidths) {
   // Multicore at k = 1 runs Dijkstra on every unit; k = 4 and 16 run the
   // batched kernel on the 48-vertex block and Dijkstra on the small ones.
   const Graph g = blocky_graph(GetParam());
@@ -73,7 +73,7 @@ TEST_P(MultiSourceSchedulerTest, ForcedMultiSourceMatchesSequentialDijkstra) {
   }
 }
 
-TEST_P(MultiSourceSchedulerTest, HeterogeneousAutoMatchesSequential) {
+TEST_P(MultiSourceSchedulerTest, HeterogeneousAndDeviceMatchDijkstra) {
   // Paper mode (CPU workers and delta-stepping device share the queue) and
   // the device alone.
   const Graph g = blocky_graph(GetParam() + 100);

@@ -168,6 +168,37 @@ TEST(MultiSource, RejectsBadBatches) {
   EXPECT_THROW(ws.distances(g, 4, 8, out), std::out_of_range);
 }
 
+TEST(MultiSource, TriangleOutputIsTheLowerTriangleOfTheMatrix) {
+  const Graph g = gen::random_connected(90, 260, 7);
+  const graph::VertexId n = g.num_vertices();
+  MultiSourceWorkspace ws;
+  for (const std::uint32_t k : {1u, 4u, 16u, kMaxSourceLanes}) {
+    ws.ensure(n, k);
+    DistanceMatrix full(n);
+    TriangleMatrix tri(n);
+    for (graph::VertexId s = 0; s < n; s += k) {
+      const graph::VertexId end = std::min<graph::VertexId>(s + k, n);
+      ws.distances(g, s, end, full);
+      ws.distances(g, s, end, tri);
+    }
+    for (graph::VertexId s = 0; s < n; ++s) {
+      for (graph::VertexId v = 0; v <= s; ++v) {
+        ASSERT_EQ(tri.head(s)[v], full.at(s, v))
+            << "k=" << k << " source " << s << " vertex " << v;
+      }
+    }
+  }
+}
+
+TEST(MultiSource, RejectsAnOutputOfTheWrongSize) {
+  const Graph g = gen::cycle(6);
+  MultiSourceWorkspace ws(g.num_vertices(), 4);
+  DistanceMatrix matrix(g.num_vertices() + 1);
+  TriangleMatrix triangle(g.num_vertices() - 1);
+  EXPECT_THROW(ws.distances(g, 0, 4, matrix), std::invalid_argument);
+  EXPECT_THROW(ws.distances(g, 0, 4, triangle), std::invalid_argument);
+}
+
 TEST(MultiSource, ReportsFrontierRounds) {
   // A path graph forces one frontier round per hop.
   Builder b(5);

@@ -169,6 +169,31 @@ TEST(FloydWarshall, EmptyGraph) {
   EXPECT_EQ(d.size(), 0u);
 }
 
+TEST(TriangleMatrix, PacksTheLowerTriangle) {
+  for (const VertexId n : {0u, 1u, 7u}) {
+    TriangleMatrix t(n);
+    const std::size_t cells = static_cast<std::size_t>(n) * (n + 1) / 2;
+    EXPECT_EQ(t.size(), n);
+    EXPECT_EQ(t.bytes(), cells * sizeof(Weight));
+    // Number every cell through its row head, then read each back both
+    // ways round.
+    Weight next = 0;
+    for (VertexId i = 0; i < n; ++i) {
+      ASSERT_EQ(t.head(i).size(), static_cast<std::size_t>(i) + 1);
+      for (Weight& w : t.head(i)) w = next++;
+    }
+    EXPECT_EQ(next, static_cast<Weight>(cells));
+    for (VertexId i = 0; i < n; ++i) {
+      for (VertexId j = 0; j <= i; ++j) {
+        EXPECT_EQ(t.at(i, j), t.head(i)[j]) << i << "," << j;
+        EXPECT_EQ(&t.at(j, i), &t.at(i, j)) << i << "," << j;
+      }
+    }
+  }
+  const TriangleMatrix fresh(3);
+  EXPECT_EQ(fresh.at(0, 2), graph::kInfWeight);
+}
+
 TEST(PageAllocator, RetiredTableServesTheNextOfItsSize) {
   if (!kPageBackedTables) GTEST_SKIP() << "tables come from operator new here";
   constexpr std::size_t kN = kMapBytes / sizeof(Weight) + 3;
