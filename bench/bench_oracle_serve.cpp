@@ -51,7 +51,6 @@
 #include "bench_common.hpp"
 
 #include "graph/datasets.hpp"
-#include "obs/query_trace.hpp"
 #include "obs/slow_log.hpp"
 #include "serve/oracle_server.hpp"
 #include "sssp/dijkstra.hpp"
@@ -174,6 +173,32 @@ void wait_until(std::uint64_t arrival_ns) {
   }
 }
 
+/// Serves one request the way the HTTP routes do: `call()` runs inside a
+/// serve.request span, the result handoff (nothing to serialize here, so
+/// one clock read) is the serve.write span, and obs::record_served
+/// attributes arrival -> call -> return -> done. Returns done.
+template <typename Call>
+std::uint64_t serve_request(const serve::OracleServer& server,
+                            std::uint64_t arrival_ns, std::size_t count,
+                            serve::Query first, Call&& call) {
+  obs::ServedRequest req{.arrival_ns = arrival_ns,
+                         .count = static_cast<std::uint32_t>(count),
+                         .s = first.s,
+                         .t = first.t};
+  {
+    EARDEC_TRACE_SCOPE("serve.request");
+    req.call_ns = obs::Tracer::now_ns();
+    call();
+    req.ret_ns = obs::Tracer::now_ns();
+    req.done_ns = obs::Tracer::now_ns();
+    obs::Tracer::instance().record_span("serve.write", req.ret_ns,
+                                        req.done_ns - req.ret_ns);
+  }
+  req.epoch = server.epoch();
+  obs::record_served(req);
+  return req.done_ns;
+}
+
 CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
                     bool batched, std::uint64_t queries, double target_qps,
                     std::uint64_t batch_size) {
@@ -184,10 +209,8 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
       "oracle.serve.openloop.latency_ns");
   service.reset();
   open.reset();
-  // Attribution components: queue_wait/kernel come from the serving layer,
-  // `write` (result handoff) is recorded here from
-  // QueryTrace::server_end_ns. Reset per cell so each cell's snapshot
-  // block summarizes only its own queries.
+  // Attribution components, recorded by obs::record_served below. Reset
+  // per cell so each cell's snapshot block summarizes only its own queries.
   std::array<obs::Histogram*, obs::kNumAttrComponents> attr{};
   for (std::size_t i = 0; i < obs::kNumAttrComponents; ++i) {
     attr[i] = &obs::MetricsRegistry::instance().histogram(
@@ -195,8 +218,6 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
         "_ns");
     attr[i]->reset();
   }
-  obs::Histogram& attr_write =
-      *attr[std::size_t(obs::AttrComponent::kWrite)];
 
   std::mt19937_64 rng(99);
   // Inter-arrival gaps of a Poisson process at the offered rate; for the
@@ -231,21 +252,12 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
       } else {
         arrival = static_cast<double>(obs::Tracer::now_ns());
       }
-      // Request context: the server derives queue_wait from the scheduled
-      // arrival and reports its own end via server_end_ns, so the write
-      // component below closes the chain exactly to the open-loop latency.
-      obs::QueryTrace qt(static_cast<std::uint64_t>(arrival));
+      // Attribution runs from the scheduled arrival, so the components
+      // sum exactly to the open-loop latency.
       std::vector<graph::Weight> answers;
-      {
-        const obs::QueryTraceScope qscope(&qt);
-        answers = server.query_batch(batch);
-      }
-      const std::uint64_t done = obs::Tracer::now_ns();
-      const std::uint64_t write_ns =
-          qt.server_end_ns != 0 && qt.server_end_ns <= done
-              ? done - qt.server_end_ns
-              : 0;
-      attr_write.record_n(write_ns, batch.size());
+      const std::uint64_t done = serve_request(
+          server, static_cast<std::uint64_t>(arrival), batch.size(), batch[0],
+          [&] { answers = server.query_batch(batch); });
       const auto open_ns = static_cast<std::uint64_t>(
           static_cast<double>(done) - arrival);
       for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -264,16 +276,10 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
       } else {
         arrival = static_cast<double>(obs::Tracer::now_ns());
       }
-      obs::QueryTrace qt(static_cast<std::uint64_t>(arrival));
       graph::Weight d = 0;
-      {
-        const obs::QueryTraceScope qscope(&qt);
-        d = server.query(q.s, q.t);
-      }
-      const std::uint64_t done = obs::Tracer::now_ns();
-      attr_write.record(qt.server_end_ns != 0 && qt.server_end_ns <= done
-                            ? done - qt.server_end_ns
-                            : 0);
+      const std::uint64_t done =
+          serve_request(server, static_cast<std::uint64_t>(arrival), 1, q,
+                        [&] { d = server.query(q.s, q.t); });
       open.record(
           static_cast<std::uint64_t>(static_cast<double>(done) - arrival));
       if (issued % kSampleStride == 0) verify(q, d);

@@ -1,9 +1,14 @@
 #include "obs/slow_log.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <sstream>
+#include <string>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 #if defined(__GNUC__) && !defined(__clang__) && defined(__SANITIZE_THREAD__)
 // GCC's TSan pass has no fence instrumentation and rejects
@@ -38,11 +43,40 @@ const char* keep_name(SlowLog::Keep reason) noexcept {
   }
 }
 
+std::uint64_t total_ns(const ServedRequest& req) noexcept {
+  return req.done_ns - req.arrival_ns;
+}
+
+/// The request's components, in kAttrComponentNames order.
+std::array<std::uint64_t, kNumAttrComponents> components(
+    const ServedRequest& req) noexcept {
+  return {req.call_ns - req.arrival_ns, req.ret_ns - req.call_ns,
+          req.done_ns - req.ret_ns};
+}
+
 }  // namespace
+
+void record_served(const ServedRequest& req) noexcept {
+  // Registry instruments are leaked singletons: resolve them once.
+  static const std::array<Histogram*, kNumAttrComponents> hists = [] {
+    std::array<Histogram*, kNumAttrComponents> out{};
+    for (std::size_t i = 0; i < kNumAttrComponents; ++i) {
+      out[i] = &MetricsRegistry::instance().histogram(
+          std::string("oracle.serve.attr.") + kAttrComponentNames[i] + "_ns");
+    }
+    return out;
+  }();
+  const auto attr = components(req);
+  for (std::size_t i = 0; i < kNumAttrComponents; ++i) {
+    hists[i]->record_n(attr[i], req.count);
+  }
+  SlowLog& slow = SlowLog::instance();
+  const SlowLog::Keep keep = slow.observe(total_ns(req));
+  if (keep != SlowLog::Keep::kNo) slow.retain(req, keep);
+}
 
 struct SlowLog::Impl {
   struct Exemplar {
-    std::uint64_t query_id = 0;
     std::uint64_t arrival_ns = 0;
     std::uint64_t total_ns = 0;
     std::uint64_t epoch = 0;
@@ -51,8 +85,6 @@ struct SlowLog::Impl {
     std::uint32_t t = 0;
     std::uint32_t batch = 0;
     Keep reason = Keep::kNo;
-    std::uint32_t span_count = 0;
-    QuerySpanRecord spans[QueryTrace::kMaxSpans];
   };
 
   struct Slot {
@@ -133,9 +165,7 @@ SlowLog::Keep SlowLog::observe(std::uint64_t total_ns) noexcept {
   return Keep::kNo;
 }
 
-void SlowLog::retain(const QueryTrace& trace, std::uint64_t total_ns,
-                     Keep reason, std::uint32_t s, std::uint32_t t,
-                     std::uint32_t batch, std::uint64_t epoch) noexcept {
+void SlowLog::retain(const ServedRequest& req, Keep reason) noexcept {
   if (!armed() || reason == Keep::kNo) return;
   const std::uint64_t cur =
       impl_->cursor.fetch_add(1, std::memory_order_relaxed);
@@ -143,21 +173,15 @@ void SlowLog::retain(const QueryTrace& trace, std::uint64_t total_ns,
   slot.seq.fetch_add(1, std::memory_order_relaxed);  // odd: write in flight
   std::atomic_thread_fence(std::memory_order_release);
   Impl::Exemplar& ex = slot.exemplar;
-  ex.query_id = trace.query_id();
-  ex.arrival_ns = trace.arrival_ns;
-  ex.total_ns = total_ns;
-  ex.epoch = epoch;
-  for (std::size_t i = 0; i < kNumAttrComponents; ++i) {
-    ex.attr_ns[i] = trace.attr_ns[i];
-  }
-  ex.s = s;
-  ex.t = t;
-  ex.batch = batch;
+  ex.arrival_ns = req.arrival_ns;
+  ex.total_ns = total_ns(req);
+  ex.epoch = req.epoch;
+  const auto attr = components(req);
+  std::copy(attr.begin(), attr.end(), ex.attr_ns);
+  ex.s = req.s;
+  ex.t = req.t;
+  ex.batch = req.count;
   ex.reason = reason;
-  ex.span_count = trace.span_count();
-  for (std::uint32_t i = 0; i < ex.span_count; ++i) {
-    ex.spans[i] = trace.spans()[i];
-  }
   slot.seq.fetch_add(1, std::memory_order_release);  // even: stable
 }
 
@@ -185,8 +209,8 @@ std::string SlowLog::dump_json() const {
     if (slot.seq.load(std::memory_order_relaxed) != seq1) continue;
     if (!first) out << ",";
     first = false;
-    out << "{\"query_id\":" << ex.query_id << ",\"reason\":\""
-        << keep_name(ex.reason) << "\",\"total_ns\":" << ex.total_ns
+    out << "{\"reason\":\"" << keep_name(ex.reason)
+        << "\",\"total_ns\":" << ex.total_ns
         << ",\"arrival_ns\":" << ex.arrival_ns << ",\"epoch\":" << ex.epoch
         << ",\"s\":" << ex.s << ",\"t\":" << ex.t
         << ",\"batch\":" << ex.batch << ",\"attr_ns\":{";
@@ -194,18 +218,7 @@ std::string SlowLog::dump_json() const {
       if (c != 0) out << ",";
       out << "\"" << kAttrComponentNames[c] << "\":" << ex.attr_ns[c];
     }
-    out << "},\"spans\":[";
-    const std::uint32_t spans =
-        std::min<std::uint32_t>(ex.span_count, QueryTrace::kMaxSpans);
-    for (std::uint32_t sp = 0; sp < spans; ++sp) {
-      const QuerySpanRecord& rec = ex.spans[sp];
-      if (sp != 0) out << ",";
-      out << "{\"name\":\"" << (rec.name != nullptr ? rec.name : "")
-          << "\",\"start_ns\":" << rec.start_ns
-          << ",\"dur_ns\":" << rec.dur_ns << ",\"span\":" << rec.span_id
-          << ",\"parent\":" << rec.parent_id << "}";
-    }
-    out << "]}";
+    out << "}}";
   }
   out << "]}";
   return out.str();

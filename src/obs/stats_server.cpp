@@ -203,8 +203,8 @@ HttpResponse builtin_response(const HttpRequest& request) {
     r.content_type = kJson;
     r.body = stats_json_body();
   } else if (request.path == "/debug/slow") {
-    // Slow-query exemplar ring (obs/slow_log.hpp): span trees + latency
-    // attribution for tail-sampled queries.
+    // Slow-query exemplar ring (obs/slow_log.hpp): latency attribution
+    // of tail-sampled requests.
     r.content_type = kJson;
     r.body = SlowLog::instance().dump_json() + "\n";
   } else {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <ostream>
@@ -47,6 +48,18 @@ void write_json_escaped(std::ostream& out, const std::string& s) {
         }
     }
   }
+}
+
+/// Trace-event timestamps are microseconds. Writes `ns` as an exact
+/// decimal with three fractional digits: streaming the double ns / 1000
+/// would keep only six significant digits, i.e. whole microseconds after
+/// the first second of a run.
+void write_us(std::ostream& out, std::uint64_t ns) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%llu.%03llu",
+                static_cast<unsigned long long>(ns / 1000),
+                static_cast<unsigned long long>(ns % 1000));
+  out << buf;
 }
 
 }  // namespace
@@ -155,21 +168,6 @@ void Tracer::record_span(const char* name, std::uint64_t start_ns,
   buf.count.store(c + 1, std::memory_order_release);
 }
 
-void Tracer::record_span_linked(const char* name, std::uint64_t start_ns,
-                                std::uint64_t dur_ns, std::uint64_t qid,
-                                std::uint32_t span_id, std::uint32_t parent_id,
-                                const char* arg_name, std::uint64_t arg) {
-  if (!enabled()) return;
-  ThreadBuffer& buf = current_buffer(*impl_);
-  const std::uint64_t c = buf.count.load(std::memory_order_relaxed);
-  TraceEvent& slot = buf.events[c % kRingCapacity];
-  slot = {name, arg_name, start_ns, dur_ns, arg};
-  slot.qid = qid;
-  slot.span_id = span_id;
-  slot.parent_id = parent_id;
-  buf.count.store(c + 1, std::memory_order_release);
-}
-
 void Tracer::set_current_thread_name(std::string name) {
   if (!enabled()) return;
   ThreadBuffer& buf = current_buffer(*impl_);
@@ -249,31 +247,14 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
       comma();
       out << R"({"ph":"X","pid":1,"tid":)" << buf->tid << R"(,"name":")";
       write_json_escaped(out, e.name);
-      // Trace-event timestamps are microseconds; keep ns precision via the
-      // fractional part.
-      out << R"(","ts":)" << static_cast<double>(e.start_ns) / 1000.0
-          << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
-      if (e.arg_name != nullptr || e.qid != 0) {
-        out << ",\"args\":{";
-        bool first_arg = true;
-        const auto arg_comma = [&] {
-          if (!first_arg) out << ",";
-          first_arg = false;
-        };
-        if (e.arg_name != nullptr) {
-          arg_comma();
-          out << "\"";
-          write_json_escaped(out, e.arg_name);
-          out << "\":" << e.arg;
-        }
-        // Span links (tools/critical_path.py stitches them into per-query
-        // trees; see obs/query_trace.hpp).
-        if (e.qid != 0) {
-          arg_comma();
-          out << "\"qid\":" << e.qid << ",\"span\":" << e.span_id
-              << ",\"parent\":" << e.parent_id;
-        }
-        out << "}";
+      out << R"(","ts":)";
+      write_us(out, e.start_ns);
+      out << ",\"dur\":";
+      write_us(out, e.dur_ns);
+      if (e.arg_name != nullptr) {
+        out << ",\"args\":{\"";
+        write_json_escaped(out, e.arg_name);
+        out << "\":" << e.arg << "}";
       }
       out << "}";
     }
@@ -406,14 +387,6 @@ bool Tracer::write_flight_dump(int fd, const char* reason) const noexcept {
       w.u64(e.start_ns);
       w.raw(",\"dur_ns\":");
       w.u64(e.dur_ns);
-      if (e.qid != 0) {
-        w.raw(",\"qid\":");
-        w.u64(e.qid);
-        w.raw(",\"span\":");
-        w.u64(e.span_id);
-        w.raw(",\"parent\":");
-        w.u64(e.parent_id);
-      }
       if (e.arg_name != nullptr) {
         w.raw(",\"arg_name\":");
         w.sanitized(e.arg_name, 64);

@@ -49,14 +49,10 @@ struct TraceEvent {
   std::uint64_t start_ns = 0;      ///< steady-clock ns since tracer epoch
   std::uint64_t dur_ns = 0;
   std::uint64_t arg = 0;  ///< argument value (meaningful iff arg_name set)
-  /// Span links (obs/query_trace.hpp fills them): qid stitches spans of one
-  /// request into a per-query tree across thread lanes, span_id/parent_id
-  /// give the tree edges. qid == 0 means "not linked to a query"; the
-  /// exporter then omits the link args entirely.
-  std::uint64_t qid = 0;
-  std::uint32_t span_id = 0;   ///< id within the query's span tree (0 = none)
-  std::uint32_t parent_id = 0; ///< parent span id (0 = tree root)
 };
+// A lane holds kRingCapacity events: 8192 x 40 B = 320 KiB per thread.
+static_assert(sizeof(TraceEvent) == 40,
+              "TraceEvent size sets every ring lane's footprint");
 
 /// A span paired with the lane it was recorded on, for snapshot()/tests.
 struct SnapshotEvent {
@@ -89,19 +85,9 @@ class Tracer {
                    std::uint64_t dur_ns, const char* arg_name = nullptr,
                    std::uint64_t arg = 0);
 
-  /// record_span plus span links: the span joins query `qid`'s tree as node
-  /// `span_id` under `parent_id` (0 = root). The exporter emits the links
-  /// as "qid"/"span"/"parent" args, which tools/critical_path.py stitches
-  /// back into per-query trees. qid must be non-zero (use record_span for
-  /// unlinked spans). Same cost and thread-safety as record_span.
-  void record_span_linked(const char* name, std::uint64_t start_ns,
-                          std::uint64_t dur_ns, std::uint64_t qid,
-                          std::uint32_t span_id, std::uint32_t parent_id,
-                          const char* arg_name = nullptr, std::uint64_t arg = 0);
-
-  /// Async-signal-safe best-effort dump of the newest ring contents (spans
-  /// with links) as JSON to an already-open file descriptor. Uses only
-  /// write(2) and hand-rolled formatting — no locks, no allocation — so the
+  /// Async-signal-safe best-effort dump of the newest ring contents as JSON
+  /// to an already-open file descriptor. Uses only write(2) and
+  /// hand-rolled formatting — no locks, no allocation — so the
   /// flight recorder (obs/flight_recorder.hpp) can call it from
   /// SIGSEGV/SIGABRT handlers. Events being written concurrently are
   /// skipped or sanitized, never blocked on. `reason` must be a short

@@ -8,8 +8,7 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/query_trace.hpp"
+#include "obs/slow_log.hpp"
 #include "obs/stats_server.hpp"
 #include "obs/trace.hpp"
 #include "serve/oracle_server.hpp"
@@ -18,30 +17,14 @@ namespace eardec::serve {
 
 namespace {
 
-/// The `write` attribution component for HTTP-served queries: reply
-/// serialization time, from the server handing the answer back
-/// (QueryTrace::server_end_ns) to the response body being ready. The other
-/// two components are recorded inside OracleServer.
-obs::Histogram& attr_write() {
-  static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
-      "oracle.serve.attr.write_ns");
-  return h;
-}
-
-/// Records serialization as the write component (once per answered query)
-/// and closes the request's span tree.
-void finish_request(obs::QueryTrace& qt, std::uint64_t queries) {
-  const std::uint64_t done_ns = obs::Tracer::now_ns();
-  const std::uint64_t write_ns =
-      qt.server_end_ns != 0 && qt.server_end_ns <= done_ns
-          ? done_ns - qt.server_end_ns
-          : 0;
-  qt.attr_ns[std::size_t(obs::AttrComponent::kWrite)] = write_ns;
-  attr_write().record_n(write_ns, queries);
-  if (qt.server_end_ns != 0) {
-    qt.emit(qt.allocate_span(), obs::current_parent_span(), "serve.write",
-            qt.server_end_ns, write_ns);
-  }
+/// Closes a request whose reply body is ready: serialization since
+/// `ret_ns` becomes the serve.write span and the `write` attribution
+/// component.
+void finish_request(obs::ServedRequest req) {
+  req.done_ns = obs::Tracer::now_ns();
+  obs::Tracer::instance().record_span("serve.write", req.ret_ns,
+                                      req.done_ns - req.ret_ns);
+  obs::record_served(req);
 }
 
 /// Parses one vertex id; rejects trailing junk and overflow.
@@ -81,11 +64,10 @@ void fail(obs::HttpResponse& response, const std::string& message) {
 
 bool handle_single(OracleServer& server, const obs::HttpRequest& request,
                    obs::HttpResponse& response) {
-  // Request context: arrival is request receipt, and every span below —
-  // including the oracle's — joins this query's tree.
-  obs::QueryTrace qt(obs::Tracer::now_ns());
-  const obs::QueryTraceScope qscope(&qt);
-  const obs::QuerySpan request_span("serve.request");
+  // Arrival is request receipt; the oracle's span and serve.write nest
+  // under serve.request on this thread's lane.
+  obs::ServedRequest req{.arrival_ns = obs::Tracer::now_ns()};
+  EARDEC_TRACE_SCOPE("serve.request");
   const auto s = query_param(request.query, "s");
   const auto t = query_param(request.query, "t");
   if (!s || !t) {
@@ -102,12 +84,14 @@ bool handle_single(OracleServer& server, const obs::HttpRequest& request,
   // two separate pins would label a new-graph answer with the old epoch.
   const auto snap = server.snapshot();
   graph::Weight d = 0;
+  req.call_ns = obs::Tracer::now_ns();
   try {
     d = server.query_on(*snap, *sv, *tv);
   } catch (const std::out_of_range&) {
     fail(response, "vertex id out of range");
     return true;
   }
+  req.ret_ns = obs::Tracer::now_ns();
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "{\"epoch\": %llu, \"s\": %u, \"t\": %u, \"distance\": "
@@ -116,7 +100,10 @@ bool handle_single(OracleServer& server, const obs::HttpRequest& request,
                 format_distance(d).c_str());
   response.content_type = "application/json";
   response.body = buf;
-  finish_request(qt, 1);
+  req.s = *sv;
+  req.t = *tv;
+  req.epoch = snap->epoch();
+  finish_request(req);
   return true;
 }
 
@@ -126,9 +113,8 @@ bool handle_batch(OracleServer& server, const obs::HttpRequest& request,
     fail(response, "POST a body of whitespace-separated s t pairs");
     return true;
   }
-  obs::QueryTrace qt(obs::Tracer::now_ns());
-  const obs::QueryTraceScope qscope(&qt);
-  const obs::QuerySpan request_span("serve.request");
+  obs::ServedRequest req{.arrival_ns = obs::Tracer::now_ns()};
+  EARDEC_TRACE_SCOPE("serve.request");
   std::vector<Query> queries;
   std::string_view body = request.body;
   const auto next_token = [&body]() -> std::optional<std::string_view> {
@@ -166,12 +152,14 @@ bool handle_batch(OracleServer& server, const obs::HttpRequest& request,
 
   const auto snap = server.snapshot();
   std::vector<graph::Weight> distances;
+  req.call_ns = obs::Tracer::now_ns();
   try {
     distances = server.query_batch_on(*snap, queries);
   } catch (const std::out_of_range&) {
     fail(response, "vertex id out of range");
     return true;
   }
+  req.ret_ns = obs::Tracer::now_ns();
   std::string body_out = "{\"epoch\": ";
   body_out += std::to_string(snap->epoch());
   body_out += ", \"count\": ";
@@ -186,7 +174,13 @@ bool handle_batch(OracleServer& server, const obs::HttpRequest& request,
   body_out += "]}\n";
   response.content_type = "application/json";
   response.body = std::move(body_out);
-  finish_request(qt, distances.size());
+  req.count = static_cast<std::uint32_t>(queries.size());
+  if (!queries.empty()) {
+    req.s = queries[0].s;
+    req.t = queries[0].t;
+  }
+  req.epoch = snap->epoch();
+  finish_request(req);
   return true;
 }
 

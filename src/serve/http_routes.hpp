@@ -15,6 +15,11 @@
 // Malformed input (missing/non-numeric parameters, out-of-range vertices)
 // answers 400 with {"error": "..."}. Unknown paths fall through to the
 // stats server's built-in routes.
+//
+// Each answered request is one serve.request span holding the oracle's
+// oracle.scalar / oracle.batch span and a serve.write span, all on the
+// serving thread's lane, and its latency attribution is recorded through
+// obs::record_served (obs/slow_log.hpp).
 #pragma once
 
 #include <string>

@@ -6,8 +6,6 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "obs/query_trace.hpp"
-#include "obs/slow_log.hpp"
 #include "obs/trace.hpp"
 
 namespace eardec::serve {
@@ -54,12 +52,6 @@ struct OracleServer::Impl {
   obs::Counter& queries_total;
   obs::Counter& batches_total;
   obs::Gauge& epoch_gauge;
-  // Latency attribution components (docs/observability.md): every answered
-  // query decomposes into queue_wait / kernel / write. The first two are
-  // recorded here; `write` belongs to whoever serializes the reply
-  // (http_routes / the bench) via QueryTrace::server_end_ns.
-  obs::Histogram& attr_queue_wait;
-  obs::Histogram& attr_kernel;
 
   explicit Impl(ServeOptions opts)
       : options(opts),
@@ -74,11 +66,7 @@ struct OracleServer::Impl {
         batches_total(
             obs::MetricsRegistry::instance().counter("oracle.serve.batches")),
         epoch_gauge(
-            obs::MetricsRegistry::instance().gauge("oracle.serve.epoch")),
-        attr_queue_wait(obs::MetricsRegistry::instance().histogram(
-            "oracle.serve.attr.queue_wait_ns")),
-        attr_kernel(obs::MetricsRegistry::instance().histogram(
-            "oracle.serve.attr.kernel_ns")) {}
+            obs::MetricsRegistry::instance().gauge("oracle.serve.epoch")) {}
 
   /// Swaps in `next`, then waits until no reader slot pins an older epoch:
   /// each slot is refreshed by its own reader's next query, or emptied
@@ -132,44 +120,6 @@ struct OracleServer::Impl {
     }
     return fn(*slot.snap);
   }
-
-  /// Attribution shared by both paths, for `count` queries answered in
-  /// entry_ns..end_ns: queue_wait is arrival..entry, kernel the whole
-  /// evaluation. Components are recorded once per answered query at full
-  /// values — the convention the open-loop bench uses for its latency
-  /// histogram — so per-component means sum to the open-loop mean
-  /// (check_bench_smoke.py enforces the 10% bound). end_ns
-  /// becomes the trace's server_end_ns, so the caller's bookkeeping lands
-  /// in its `write` component and the chain arrival -> entry -> end -> done
-  /// stays gapless. With a QueryTrace installed this also emits the root
-  /// span and offers the query to the slow-query exemplar store.
-  void attribute(std::uint64_t entry_ns, std::uint64_t end_ns,
-                 std::uint64_t count, const char* span, Query first,
-                 const OracleSnapshot& snap) {
-    obs::QueryTrace* const qt = obs::current_query_trace();
-    const std::uint64_t arrival =
-        qt != nullptr && qt->arrival_ns != 0 && qt->arrival_ns <= entry_ns
-            ? qt->arrival_ns
-            : entry_ns;
-    attr_queue_wait.record_n(entry_ns - arrival, count);
-    attr_kernel.record_n(end_ns - entry_ns, count);
-    if (qt == nullptr) return;
-    qt->attr_ns[std::size_t(obs::AttrComponent::kQueueWait)] =
-        entry_ns - arrival;
-    qt->attr_ns[std::size_t(obs::AttrComponent::kKernel)] = end_ns - entry_ns;
-    qt->server_end_ns = end_ns;
-    qt->emit(qt->allocate_span(), obs::current_parent_span(), span, entry_ns,
-             end_ns - entry_ns, "queries", count);
-    obs::SlowLog& slow = obs::SlowLog::instance();
-    if (slow.armed()) {
-      const std::uint64_t total = end_ns - arrival;
-      const obs::SlowLog::Keep keep = slow.observe(total);
-      if (keep != obs::SlowLog::Keep::kNo) {
-        slow.retain(*qt, total, keep, first.s, first.t,
-                    static_cast<std::uint32_t>(count), snap.epoch());
-      }
-    }
-  }
 };
 
 OracleServer::OracleServer(graph::Graph g, ServeOptions options)
@@ -217,7 +167,8 @@ Weight OracleServer::query_on(const OracleSnapshot& snap, VertexId s,
   const std::uint64_t end_ns = obs::Tracer::now_ns();
   impl_->scalar_latency.record(end_ns - entry_ns);
   impl_->queries_total.add(1);
-  impl_->attribute(entry_ns, end_ns, 1, "oracle.scalar", {s, t}, snap);
+  obs::Tracer::instance().record_span("oracle.scalar", entry_ns,
+                                      end_ns - entry_ns, "queries", 1);
   return d;
 }
 
@@ -245,8 +196,8 @@ std::vector<Weight> OracleServer::query_batch_on(
   impl_->batches_total.add(1);
   impl_->queries_total.add(n);
   impl_->batch_query_latency.record_n(n > 0 ? ns / n : 0, n);
-  impl_->attribute(entry_ns, end_ns, n, "oracle.batch",
-                   n > 0 ? queries[0] : Query{}, snap);
+  obs::Tracer::instance().record_span("oracle.batch", entry_ns, ns, "queries",
+                                      n);
   return out;
 }
 

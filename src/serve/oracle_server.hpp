@@ -26,7 +26,11 @@
 // oracle.query.batch.latency_ns histograms (the batch one records the
 // amortized per-query cost), oracle.serve.batch.latency_ns for whole
 // batches, oracle.serve.queries / .batches counters, and the
-// oracle.serve.epoch gauge. All visible on a live /metrics scrape.
+// oracle.serve.epoch gauge. All visible on a live /metrics scrape. With
+// the tracer on, each call also records an oracle.scalar / oracle.batch
+// span (arg `queries`) over the same interval as its latency histogram.
+// Latency attribution (oracle.serve.attr.*) is the request owner's job:
+// see obs::record_served in obs/slow_log.hpp.
 #pragma once
 
 #include <cstdint>
@@ -111,8 +115,8 @@ class OracleServer {
   [[nodiscard]] Weight query(VertexId s, VertexId t) const;
 
   /// Scalar path against a caller-pinned snapshot, so a reply can report
-  /// the epoch its answer came from. Same metrics and attribution as
-  /// query(); bit-identical to snap.query(s, t).
+  /// the epoch its answer came from. Same metrics and span as query();
+  /// bit-identical to snap.query(s, t).
   [[nodiscard]] Weight query_on(const OracleSnapshot& snap, VertexId s,
                                 VertexId t) const;
 

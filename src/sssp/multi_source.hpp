@@ -6,13 +6,15 @@
 // sources ("lanes") at once over one cache-resident workspace: distances
 // are stored lane-strided (dist[v * k + lane], a structure-of-arrays block
 // like the bit-sliced GF(2) witness matrix of the MCB overhaul), and every
-// CSR edge scan relaxes all k lanes in one branch-free pass, so the graph
-// is streamed once per frontier round instead of once per source.
+// CSR edge scan relaxes all k lanes in one pass, so the graph is streamed
+// once per frontier round instead of once per source. The lane loop is not
+// vectorized: GCC 12 at -O3 emits one scalar addsd + comisd and a
+// conditional branch per lane.
 //
 // Algorithmically this is label-correcting (Bellman–Ford with a frontier
 // and per-vertex dirty-lane masks) rather than label-setting: more raw
-// relaxations than Dijkstra, but each one is a vectorizable fused
-// add+min over the lane block, and the frontier mask keeps rounds sparse.
+// relaxations than Dijkstra, each a scalar add+compare over the
+// contiguous lane block, and the frontier mask keeps rounds sparse.
 // For non-negative weights every label-correcting fixpoint equals the
 // Dijkstra labels bit for bit (rounded addition is monotone, min is
 // exact), which the differential suite asserts across every property

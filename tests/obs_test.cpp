@@ -30,7 +30,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
-#include "obs/query_trace.hpp"
 #include "obs/rss.hpp"
 #include "obs/slow_log.hpp"
 #include "obs/trace.hpp"
@@ -312,12 +311,15 @@ TEST_F(ObsTracerTest, ChromeTraceExportRoundTrips) {
   obs::Tracer& tracer = obs::Tracer::instance();
   tracer.set_current_thread_name("main-thread");
   tracer.record_span("obs_test.export \"quoted\"", 2000, 3000, "units", 7);
+  // Three hours in: still exact to the nanosecond.
+  tracer.record_span("obs_test.export_late", 10'800'123'456'789, 1);
   std::ostringstream out;
   tracer.write_chrome_trace(out);
 
   const JsonValue doc = JsonParser(out.str()).parse();
   const JsonArray& events = doc.obj().at("traceEvents").arr();
   bool saw_span = false;
+  bool saw_late = false;
   bool saw_thread_name = false;
   for (const JsonValue& ev : events) {
     const JsonObject& e = ev.obj();
@@ -329,12 +331,19 @@ TEST_F(ObsTracerTest, ChromeTraceExportRoundTrips) {
       EXPECT_DOUBLE_EQ(e.at("dur").num(), 3.0);
       EXPECT_DOUBLE_EQ(e.at("args").obj().at("units").num(), 7.0);
     }
+    if (ph == "X" && e.at("name").str() == "obs_test.export_late") {
+      saw_late = true;
+      EXPECT_DOUBLE_EQ(e.at("ts").num(), 10'800'123'456.789);
+      EXPECT_DOUBLE_EQ(e.at("dur").num(), 0.001);
+    }
+
     if (ph == "M" && e.at("name").str() == "thread_name" &&
         e.at("args").obj().at("name").str() == "main-thread") {
       saw_thread_name = true;
     }
   }
   EXPECT_TRUE(saw_span);
+  EXPECT_TRUE(saw_late);
   EXPECT_TRUE(saw_thread_name);
 }
 
@@ -692,35 +701,7 @@ TEST(ObsRegistry, CsvExportContainsInstrumentRows) {
             std::string::npos);
 }
 
-// --- linked spans & per-query trace context -----------------------------
-
-TEST_F(ObsTracerTest, LinkedSpanSnapshotAndExportCarryTreeIds) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
-  obs::Tracer& tracer = obs::Tracer::instance();
-  tracer.record_span_linked("obs_test.linked", 1000, 2000, /*qid=*/77,
-                            /*span_id=*/2, /*parent_id=*/1, "legs", 3);
-  const auto events = tracer.snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].event.qid, 77u);
-  EXPECT_EQ(events[0].event.span_id, 2u);
-  EXPECT_EQ(events[0].event.parent_id, 1u);
-
-  std::ostringstream out;
-  tracer.write_chrome_trace(out);
-  const JsonValue doc = JsonParser(out.str()).parse();
-  bool saw = false;
-  for (const JsonValue& ev : doc.obj().at("traceEvents").arr()) {
-    const JsonObject& e = ev.obj();
-    if (e.at("ph").str() != "X") continue;
-    saw = true;
-    const JsonObject& args = e.at("args").obj();
-    EXPECT_DOUBLE_EQ(args.at("qid").num(), 77.0);
-    EXPECT_DOUBLE_EQ(args.at("span").num(), 2.0);
-    EXPECT_DOUBLE_EQ(args.at("parent").num(), 1.0);
-    EXPECT_DOUBLE_EQ(args.at("legs").num(), 3.0);
-  }
-  EXPECT_TRUE(saw);
-}
+// --- export args & concurrent lanes -------------------------------------
 
 TEST_F(ObsTracerTest, UnlinkedSpanExportsNoLinkArgs) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
@@ -732,61 +713,17 @@ TEST_F(ObsTracerTest, UnlinkedSpanExportsNoLinkArgs) {
   for (const JsonValue& ev : doc.obj().at("traceEvents").arr()) {
     const JsonObject& e = ev.obj();
     if (e.at("ph").str() != "X") continue;
-    // qid == 0 means unlinked: the exporter must not add an args object
-    // (critical_path.py keys on args.qid to find stitched spans).
+    // Spans carry no link ids: one recorded without an argument exports
+    // no args object at all.
     EXPECT_EQ(e.count("args"), 0u);
   }
 }
 
-TEST_F(ObsTracerTest, QueryTraceScopeNestsAndQuerySpansChainParents) {
-  EXPECT_EQ(obs::current_query_trace(), nullptr);
-  obs::QueryTrace qt;
-  EXPECT_NE(qt.query_id(), 0u);
-  {
-    const obs::QueryTraceScope scope(&qt);
-    EXPECT_EQ(obs::current_query_trace(), &qt);
-    EXPECT_EQ(obs::current_parent_span(), 0u);
-    std::uint32_t outer_id = 0;
-    {
-      const obs::QuerySpan outer("obs_test.q_outer");
-      outer_id = outer.span_id();
-      EXPECT_NE(outer_id, 0u);
-      EXPECT_EQ(obs::current_parent_span(), outer_id);
-      {
-        const obs::QuerySpan inner("obs_test.q_inner", "arg", 5);
-        EXPECT_NE(inner.span_id(), outer_id);
-        EXPECT_EQ(obs::current_parent_span(), inner.span_id());
-      }
-      EXPECT_EQ(obs::current_parent_span(), outer_id);
-    }
-    EXPECT_EQ(obs::current_parent_span(), 0u);
-  }
-  EXPECT_EQ(obs::current_query_trace(), nullptr);
-  if (obs::kTracingEnabled) {
-    // Both spans landed in the tracer with this query's id, and the inner
-    // one parents under the outer (snapshot sorts by start time).
-    const auto events = obs::Tracer::instance().snapshot();
-    ASSERT_EQ(events.size(), 2u);
-    EXPECT_STREQ(events[0].event.name, "obs_test.q_outer");
-    EXPECT_STREQ(events[1].event.name, "obs_test.q_inner");
-    EXPECT_EQ(events[0].event.qid, qt.query_id());
-    EXPECT_EQ(events[1].event.qid, qt.query_id());
-    EXPECT_EQ(events[0].event.parent_id, 0u);
-    EXPECT_EQ(events[1].event.parent_id, events[0].event.span_id);
-  }
-}
-
-TEST_F(ObsTracerTest, QuerySpanWithoutContextIsInert) {
-  const obs::QuerySpan span("obs_test.orphan");
-  EXPECT_EQ(span.span_id(), 0u);
-  EXPECT_EQ(obs::current_parent_span(), 0u);
-}
-
-TEST_F(ObsTracerTest, ConcurrentLinkedWraparound) {
+TEST_F(ObsTracerTest, ConcurrentLaneWraparound) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
-  // Several lanes wrap their span rings with linked spans concurrently. Run
-  // under TSan via `ctest -L hetero`. Afterwards every lane must retain
-  // exactly the newest kRingCapacity spans with their link fields intact.
+  // Several lanes wrap their span rings concurrently. Run under TSan via
+  // `ctest -L hetero`. Afterwards every lane must retain exactly the newest
+  // kRingCapacity spans, each still carrying its writer's arg.
   obs::Tracer& tracer = obs::Tracer::instance();
   constexpr std::size_t kThreads = 3;
   constexpr std::size_t kExtra = 256;
@@ -797,21 +734,18 @@ TEST_F(ObsTracerTest, ConcurrentLinkedWraparound) {
   lanes.reserve(kThreads);
   for (std::size_t w = 0; w < kThreads; ++w) {
     lanes.emplace_back([&tracer, &ready, &go, w] {
-      const std::uint64_t qid = w + 1;
+      const std::uint64_t writer = w + 1;
       // Claim the lane BEFORE signaling readiness: acquisition is lazy (on
       // the first recorded event) and release happens at thread exit, so a
       // writer that only claimed after `go` could recycle the ring of a
       // sibling that already finished — merging two writers into one lane.
-      tracer.record_span_linked("obs_test.linked_wrap", /*start_ns=*/0,
-                                /*dur_ns=*/1, qid, /*span_id=*/1,
-                                /*parent_id=*/7);
+      tracer.record_span("obs_test.lane_wrap", /*start_ns=*/0, /*dur_ns=*/1,
+                         "writer", writer);
       ready.fetch_add(1, std::memory_order_release);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (std::size_t i = 1; i < kPerThread; ++i) {
-        tracer.record_span_linked("obs_test.linked_wrap", /*start_ns=*/i,
-                                  /*dur_ns=*/1, qid,
-                                  static_cast<std::uint32_t>(i + 1),
-                                  /*parent_id=*/7);
+        tracer.record_span("obs_test.lane_wrap", /*start_ns=*/i,
+                           /*dur_ns=*/1, "writer", writer);
       }
     });
   }
@@ -824,23 +758,27 @@ TEST_F(ObsTracerTest, ConcurrentLinkedWraparound) {
   EXPECT_EQ(tracer.recorded_events(),
             kThreads * obs::Tracer::kRingCapacity);
   EXPECT_EQ(tracer.dropped_events(), kThreads * kExtra);
-  std::map<std::uint64_t, std::size_t> per_qid_count;
-  std::map<std::uint64_t, std::uint32_t> per_qid_min_span;
+  std::map<std::uint64_t, std::size_t> per_writer_count;
+  std::map<std::uint64_t, std::uint64_t> per_writer_min_start;
+  std::map<std::uint32_t, std::set<std::uint64_t>> writers_per_lane;
   for (const auto& e : tracer.snapshot()) {
-    ASSERT_GE(e.event.qid, 1u);
-    ASSERT_LE(e.event.qid, kThreads);
-    EXPECT_EQ(e.event.parent_id, 7u);
-    ++per_qid_count[e.event.qid];
+    ASSERT_GE(e.event.arg, 1u);
+    ASSERT_LE(e.event.arg, kThreads);
+    ++per_writer_count[e.event.arg];
+    writers_per_lane[e.tid].insert(e.event.arg);
     auto [it, inserted] =
-        per_qid_min_span.try_emplace(e.event.qid, e.event.span_id);
-    if (!inserted) it->second = std::min(it->second, e.event.span_id);
+        per_writer_min_start.try_emplace(e.event.arg, e.event.start_ns);
+    if (!inserted) it->second = std::min(it->second, e.event.start_ns);
   }
-  ASSERT_EQ(per_qid_count.size(), kThreads);
-  for (const auto& [qid, count] : per_qid_count) {
-    EXPECT_EQ(count, obs::Tracer::kRingCapacity) << "qid=" << qid;
-    // Newest-kept: the oldest surviving span id is exactly one past the
-    // dropped prefix.
-    EXPECT_EQ(per_qid_min_span[qid], kExtra + 1) << "qid=" << qid;
+  ASSERT_EQ(per_writer_count.size(), kThreads);
+  for (const auto& [writer, count] : per_writer_count) {
+    EXPECT_EQ(count, obs::Tracer::kRingCapacity) << "writer=" << writer;
+    // Newest-kept: the oldest surviving span is exactly the first one past
+    // the dropped prefix.
+    EXPECT_EQ(per_writer_min_start[writer], kExtra) << "writer=" << writer;
+  }
+  for (const auto& [tid, writers] : writers_per_lane) {
+    EXPECT_EQ(writers.size(), 1u) << "lane " << tid << " shared by writers";
   }
 }
 
@@ -906,15 +844,15 @@ TEST_F(ObsSlowLogTest, RetainAndDumpRoundTrips) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   auto& slow = obs::SlowLog::instance();
   slow.arm(/*uniform_stride=*/1);
-  // Armed at construction -> this trace collects its spans.
-  obs::QueryTrace qt(/*arrival_ns_in=*/500);
-  const std::uint32_t root = qt.allocate_span();
-  qt.emit(root, 0, "obs_test.slow_root", 500, 4000);
-  qt.emit(qt.allocate_span(), root, "obs_test.slow_leaf", 600, 1000);
-  EXPECT_EQ(qt.span_count(), 2u);
-  qt.attr_ns[std::size_t(obs::AttrComponent::kKernel)] = 3000;
-  slow.retain(qt, /*total_ns=*/4200, obs::SlowLog::Keep::kUniform,
-              /*s=*/11, /*t=*/22, /*batch=*/8, /*epoch=*/3);
+  const obs::ServedRequest req{.arrival_ns = 500,
+                               .call_ns = 700,
+                               .ret_ns = 3700,
+                               .done_ns = 4700,
+                               .count = 8,
+                               .s = 11,
+                               .t = 22,
+                               .epoch = 3};
+  slow.retain(req, obs::SlowLog::Keep::kUniform);
   EXPECT_EQ(slow.retained(), 1u);
 
   const std::string json = slow.dump_json();
@@ -924,38 +862,38 @@ TEST_F(ObsSlowLogTest, RetainAndDumpRoundTrips) {
   const JsonArray& exemplars = rootobj.at("exemplars").arr();
   ASSERT_EQ(exemplars.size(), 1u);
   const JsonObject& ex = exemplars[0].obj();
-  EXPECT_DOUBLE_EQ(ex.at("query_id").num(),
-                   static_cast<double>(qt.query_id()));
   EXPECT_EQ(ex.at("reason").str(), "sample");
   EXPECT_DOUBLE_EQ(ex.at("total_ns").num(), 4200.0);
+  EXPECT_DOUBLE_EQ(ex.at("arrival_ns").num(), 500.0);
+  EXPECT_DOUBLE_EQ(ex.at("epoch").num(), 3.0);
+  EXPECT_DOUBLE_EQ(ex.at("s").num(), 11.0);
+  EXPECT_DOUBLE_EQ(ex.at("t").num(), 22.0);
   EXPECT_DOUBLE_EQ(ex.at("batch").num(), 8.0);
-  EXPECT_DOUBLE_EQ(ex.at("attr_ns").obj().at("kernel").num(), 3000.0);
-  const JsonArray& spans = ex.at("spans").arr();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].obj().at("name").str(), "obs_test.slow_root");
-  EXPECT_DOUBLE_EQ(spans[1].obj().at("parent").num(),
-                   static_cast<double>(root));
+  const JsonObject& attr = ex.at("attr_ns").obj();
+  EXPECT_DOUBLE_EQ(attr.at("queue_wait").num(), 200.0);
+  EXPECT_DOUBLE_EQ(attr.at("kernel").num(), 3000.0);
+  EXPECT_DOUBLE_EQ(attr.at("write").num(), 1000.0);
+  // Exactly the documented fields: no span copies, no query id.
+  EXPECT_EQ(ex.size(), 8u);
 
   slow.clear();
   EXPECT_EQ(slow.retained(), 0u);
   EXPECT_EQ(slow.observed(), 0u);
 }
 
-TEST_F(ObsSlowLogTest, SpanCollectionRespectsArmingAndOverflowCounts) {
+TEST_F(ObsSlowLogTest, RecordServedOffersEveryRequestToTheArmedLog) {
   if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
   auto& slow = obs::SlowLog::instance();
-  // Disarmed at construction: spans are emitted but never collected.
-  obs::QueryTrace cold;
-  cold.emit(cold.allocate_span(), 0, "obs_test.cold", 0, 1);
-  EXPECT_EQ(cold.span_count(), 0u);
-  slow.arm();
-  obs::QueryTrace hot;
-  for (std::size_t i = 0; i < obs::QueryTrace::kMaxSpans + 5; ++i) {
-    hot.emit(hot.allocate_span(), 0, "obs_test.hot", i, 1);
+  obs::record_served({.arrival_ns = 0, .call_ns = 1, .ret_ns = 2,
+                      .done_ns = 3});
+  EXPECT_EQ(slow.observed(), 0u);  // disarmed: not offered
+  slow.arm(/*uniform_stride=*/2);
+  for (int i = 0; i < 4; ++i) {
+    obs::record_served({.arrival_ns = 0, .call_ns = 1, .ret_ns = 2,
+                        .done_ns = 3});
   }
-  // Overflowing spans are counted, not retained (the exemplar's span list
-  // is a fixed-size snapshot).
-  EXPECT_EQ(hot.span_count(), obs::QueryTrace::kMaxSpans);
+  EXPECT_EQ(slow.observed(), 4u);
+  EXPECT_EQ(slow.retained(), 2u);
 }
 
 // --- flight recorder ----------------------------------------------------
@@ -963,8 +901,8 @@ TEST_F(ObsSlowLogTest, SpanCollectionRespectsArmingAndOverflowCounts) {
 TEST(ObsFlightRecorder, DumpNowWritesParseableSnapshot) {
   obs::Tracer::instance().clear();
   obs::Tracer::instance().set_enabled(true);
-  obs::Tracer::instance().record_span_linked("obs_test.flight \"q\"", 1000,
-                                             2000, 9, 1, 0, "units", 4);
+  obs::Tracer::instance().record_span("obs_test.flight \"q\"", 1000, 2000,
+                                      "units", 4);
   const std::string path = "obs_test_flight.json";
   auto& flight = obs::FlightRecorder::instance();
   if (!flight.arm(path)) {
@@ -991,8 +929,8 @@ TEST(ObsFlightRecorder, DumpNowWritesParseableSnapshot) {
       // The signal-safe writer sanitizes quotes rather than escaping them.
       if (e.at("name").str().rfind("obs_test.flight", 0) == 0) {
         saw_span = true;
-        EXPECT_DOUBLE_EQ(e.at("qid").num(), 9.0);
-        EXPECT_DOUBLE_EQ(e.at("span").num(), 1.0);
+        EXPECT_DOUBLE_EQ(e.at("dur_ns").num(), 2000.0);
+        EXPECT_EQ(e.at("arg_name").str(), "units");
         EXPECT_DOUBLE_EQ(e.at("arg").num(), 4.0);
       }
     }

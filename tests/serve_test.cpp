@@ -5,6 +5,7 @@
 // pinned to the old epoch finish on it — no use-after-free, no torn
 // answers), and bitwise determinism of the batched path across reruns and
 // execution modes.
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,7 +23,7 @@
 
 #include "core/ear_apsp.hpp"
 #include "obs/metrics.hpp"
-#include "obs/query_trace.hpp"
+#include "obs/slow_log.hpp"
 #include "obs/stats_server.hpp"
 #include "obs/trace.hpp"
 #include "serve/http_routes.hpp"
@@ -182,53 +183,66 @@ TEST(OracleServer, BatchRejectsOutOfRangeVertices) {
   EXPECT_THROW((void)server.query(g.num_vertices(), 0), std::out_of_range);
 }
 
-// The latency-attribution contract (docs/observability.md): with a
-// QueryTrace installed, the serving path fills server_end_ns and the two
-// server-side components so they chain gaplessly from the scheduled
-// arrival — component sums must equal server_end_ns - arrival exactly,
-// and each attr histogram must have seen one observation per query.
-TEST(OracleServer, QueryTraceAttributionChainsGaplessly) {
-  if (!obs::kTracingEnabled) GTEST_SKIP() << "tracing compiled out";
+/// The three oracle.serve.attr.*_ns histograms, in kAttrComponentNames
+/// order.
+std::array<obs::Histogram*, obs::kNumAttrComponents> attr_histograms() {
+  std::array<obs::Histogram*, obs::kNumAttrComponents> out{};
+  for (std::size_t i = 0; i < obs::kNumAttrComponents; ++i) {
+    out[i] = &obs::MetricsRegistry::instance().histogram(
+        std::string("oracle.serve.attr.") + obs::kAttrComponentNames[i] +
+        "_ns");
+  }
+  return out;
+}
+
+std::uint64_t attr_sum() {
+  std::uint64_t sum = 0;
+  for (const obs::Histogram* h : attr_histograms()) sum += h->sum();
+  return sum;
+}
+
+// The latency-attribution contract (docs/observability.md): the request
+// owner's four timestamps split into three contiguous components, so their
+// histogram sums grow by exactly done - arrival per answered query.
+TEST(OracleServer, ServedRequestComponentsSumToDoneMinusArrival) {
   const graph::Graph g = test_graph(13);
   const serve::OracleServer server(g, {});
-  auto& reg = obs::MetricsRegistry::instance();
-  obs::Histogram* attr[2] = {
-      &reg.histogram("oracle.serve.attr.queue_wait_ns"),
-      &reg.histogram("oracle.serve.attr.kernel_ns"),
-  };
-  for (obs::Histogram* h : attr) h->reset();
-
   const std::vector<serve::Query> queries = {{0, 1}, {2, 3}, {5, 9}, {1, 1}};
-  const std::uint64_t arrival = obs::Tracer::now_ns();
-  obs::QueryTrace qt(arrival);
-  std::vector<Weight> batched;
-  {
-    const obs::QueryTraceScope scope(&qt);
-    batched = server.query_batch(queries);
-  }
-  const std::uint64_t done = obs::Tracer::now_ns();
 
-  ASSERT_EQ(batched.size(), queries.size());
-  ASSERT_NE(qt.server_end_ns, 0u);
-  EXPECT_GE(qt.server_end_ns, arrival);
-  EXPECT_LE(qt.server_end_ns, done);
-  std::uint64_t component_sum = 0;
-  for (std::size_t i = 0; i < 2; ++i) component_sum += qt.attr_ns[i];
-  EXPECT_EQ(component_sum, qt.server_end_ns - arrival);
-  // The write component is the caller's; the server must leave it alone.
-  EXPECT_EQ(qt.attr_ns[std::size_t(obs::AttrComponent::kWrite)], 0u);
-  for (obs::Histogram* h : attr) EXPECT_EQ(h->count(), queries.size());
-
-  // The scalar path fills the same contract.
-  obs::QueryTrace scalar_qt(obs::Tracer::now_ns());
-  {
-    const obs::QueryTraceScope scope(&scalar_qt);
-    (void)server.query(0, 5);
+  for (const bool batched : {false, true}) {
+    const std::uint64_t before = attr_sum();
+    obs::ServedRequest req{.arrival_ns = obs::Tracer::now_ns()};
+    req.call_ns = obs::Tracer::now_ns();
+    if (batched) {
+      req.count = static_cast<std::uint32_t>(queries.size());
+      ASSERT_EQ(server.query_batch(queries).size(), queries.size());
+    } else {
+      (void)server.query(0, 5);
+    }
+    req.ret_ns = obs::Tracer::now_ns();
+    req.done_ns = obs::Tracer::now_ns();
+    obs::record_served(req);
+    EXPECT_EQ(attr_sum() - before,
+              std::uint64_t{req.count} * (req.done_ns - req.arrival_ns))
+        << (batched ? "batch" : "scalar");
   }
-  ASSERT_NE(scalar_qt.server_end_ns, 0u);
-  std::uint64_t scalar_sum = 0;
-  for (std::size_t i = 0; i < 2; ++i) scalar_sum += scalar_qt.attr_ns[i];
-  EXPECT_EQ(scalar_sum, scalar_qt.server_end_ns - scalar_qt.arrival_ns);
+}
+
+// In-process queries have no request owner, so they record no attribution:
+// query() costs its latency histogram, the counter and a gated span only.
+TEST(OracleServer, InProcessQueriesRecordNoAttribution) {
+  const graph::Graph g = test_graph(13);
+  const serve::OracleServer server(g, {});
+  std::array<std::uint64_t, obs::kNumAttrComponents> counts{};
+  const auto hists = attr_histograms();
+  for (std::size_t i = 0; i < hists.size(); ++i) counts[i] = hists[i]->count();
+  (void)server.query(0, 5);
+  (void)server.query_batch(all_pairs(g));
+  const auto snap = server.snapshot();
+  (void)server.query_on(*snap, 1, 2);
+  for (std::size_t i = 0; i < hists.size(); ++i) {
+    EXPECT_EQ(hists[i]->count(), counts[i]) << obs::kAttrComponentNames[i];
+  }
 }
 
 // The epoch-swap contract under load: readers pin a snapshot and their
@@ -611,6 +625,40 @@ TEST_F(ServeHttpTest, BuiltInRoutesStillWorkWithHandlerRegistered) {
   // POST to a route the handler declines still answers 405.
   EXPECT_NE(http_request(port_, "POST", "/metrics").find("HTTP/1.1 405"),
             std::string::npos);
+}
+
+// The HTTP routes own their requests: one GET records one observation per
+// attribution component, whose sum fits inside the client's round trip,
+// and a POST /query/batch records one per answered pair. /metrics then
+// exports all three components.
+TEST_F(ServeHttpTest, RequestsRecordAttributionAndMetricsExportIt) {
+  const auto hists = attr_histograms();
+  std::array<std::uint64_t, obs::kNumAttrComponents> counts{};
+  for (std::size_t i = 0; i < hists.size(); ++i) counts[i] = hists[i]->count();
+  const std::uint64_t sum_before = attr_sum();
+  const std::uint64_t sent = obs::Tracer::now_ns();
+  const std::string resp = http_request(port_, "GET", "/query?s=0&t=5");
+  const std::uint64_t received = obs::Tracer::now_ns();
+  ASSERT_NE(resp.find("HTTP/1.1 200"), std::string::npos) << resp;
+  for (std::size_t i = 0; i < hists.size(); ++i) {
+    EXPECT_EQ(hists[i]->count(), counts[i] + 1) << obs::kAttrComponentNames[i];
+  }
+  EXPECT_LE(attr_sum() - sum_before, received - sent);
+
+  ASSERT_NE(http_request(port_, "POST", "/query/batch", "0 1\n2 3\n4 5\n")
+                .find("\"count\": 3"),
+            std::string::npos);
+  for (std::size_t i = 0; i < hists.size(); ++i) {
+    EXPECT_EQ(hists[i]->count(), counts[i] + 4) << obs::kAttrComponentNames[i];
+  }
+
+  const std::string metrics = http_request(port_, "GET", "/metrics");
+  for (const char* name : obs::kAttrComponentNames) {
+    EXPECT_NE(metrics.find(std::string("eardec_oracle_serve_attr_") + name +
+                           "_ns"),
+              std::string::npos)
+        << name;
+  }
 }
 
 // The headline TSan scenario: reader threads hammer scalar and batched

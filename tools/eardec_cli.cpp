@@ -51,8 +51,9 @@
 //   --serve-seconds <sec>      serve: exit after <sec> seconds (0 = until a
 //                              signal arrives; the default)
 //   --slow-log <file>          serve: on shutdown, dump the slow-query
-//                              exemplar ring (tail-sampled span trees, the
-//                              same JSON as GET /debug/slow) to <file>.
+//                              exemplar ring (tail-sampled requests with
+//                              their queue_wait/kernel/write attribution,
+//                              the same JSON as GET /debug/slow) to <file>.
 //                              The exemplar store is armed for the whole
 //                              serve run whether or not this is set.
 //
