@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/ear_apsp.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats_server.hpp"
 #include "obs/trace.hpp"
@@ -59,11 +58,6 @@ class ObservabilitySession {
     if (metrics != nullptr) metrics_path_ = metrics;
     if (!trace_path_.empty()) obs::Tracer::instance().set_enabled(true);
     obs::StatsServer::instance().configure_from_env();
-    // Flight recorder: always-armed crash telemetry (EARDEC_FLIGHT=off
-    // opts out; any other value overrides the eardec-flight-<pid>.json
-    // default path). A SIGSEGV/SIGABRT mid-run leaves the newest trace
-    // ring behind instead of nothing.
-    obs::FlightRecorder::instance().configure_from_env();
   }
 
   ~ObservabilitySession() {

@@ -31,7 +31,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -61,25 +60,7 @@ using namespace eardec;
 
 constexpr std::uint64_t kSampleStride = 401;  // prime: covers all mix slots
 
-// --crash-after=N: raise SIGABRT after N answered queries — the injection
-// point the flight-recorder CI smoke uses to prove a crash still leaves a
-// parseable eardec-flight-<pid>.json behind. 0 = disabled.
-std::uint64_t g_crash_after = 0;
-std::uint64_t g_answered = 0;
-
 volatile double g_checksum = 0;  // sink for the closed-loop answers
-
-void count_answered(std::uint64_t n) {
-  if (g_crash_after == 0) return;
-  g_answered += n;
-  if (g_answered >= g_crash_after) {
-    std::fprintf(stderr,
-                 "crash-after: raising SIGABRT after %llu answered queries\n",
-                 static_cast<unsigned long long>(g_answered));
-    std::fflush(nullptr);
-    std::raise(SIGABRT);
-  }
-}
 
 const graph::Graph& bench_graph() {
   static const graph::Graph g =
@@ -265,7 +246,6 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
         if ((issued + i) % kSampleStride == 0) verify(batch[i], answers[i]);
       }
       issued += batch.size();
-      count_answered(batch.size());
     }
   } else {
     for (; issued < queries; ++issued) {
@@ -283,7 +263,6 @@ CellResult run_cell(const serve::OracleServer& server, const Mix& mix,
       open.record(
           static_cast<std::uint64_t>(static_cast<double>(done) - arrival));
       if (issued % kSampleStride == 0) verify(q, d);
-      count_answered(1);
     }
   }
   const double seconds =
@@ -517,8 +496,6 @@ int main(int argc, char** argv) {
     else if (arg.starts_with("--queries=")) queries = std::stoull(arg.substr(10));
     else if (arg.starts_with("--batch=")) batch_size = std::stoull(arg.substr(8));
     else if (arg.starts_with("--mix=")) only_mix = arg.substr(6);
-    else if (arg.starts_with("--crash-after="))
-      g_crash_after = std::stoull(arg.substr(14));
   }
   // The exemplar store rides along in the full run: the acceptance bar is
   // holding the QPS gate *with* tail sampling on, not with it compiled out.

@@ -27,6 +27,7 @@
 #include "graph/generators.hpp"
 #include "reduce/reduced_graph.hpp"
 #include "sssp/delta_stepping.hpp"
+#include "sssp/distance_matrix.hpp"
 #include "sssp/dijkstra.hpp"
 #include "sssp/frontier_sssp.hpp"
 #include "sssp/multi_source.hpp"

@@ -20,7 +20,7 @@
 
 #include "core/ear_apsp.hpp"
 #include "partition/bfs_grow.hpp"
-#include "sssp/floyd_warshall.hpp"
+#include "sssp/distance_matrix.hpp"
 
 namespace eardec::baselines {
 

@@ -39,7 +39,7 @@
 #include "hetero/device.hpp"
 #include "hetero/scheduler.hpp"
 #include "reduce/reduced_graph.hpp"
-#include "sssp/floyd_warshall.hpp"
+#include "sssp/distance_matrix.hpp"
 
 namespace eardec::core {
 

@@ -207,30 +207,6 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   out << (first ? "" : "\n  ") << "}\n}\n";
 }
 
-void MetricsRegistry::write_csv(std::ostream& out) const {
-  const std::lock_guard lock(impl_->mutex);
-  out << "kind,name,field,value\n";
-  for (const auto& [name, c] : impl_->counters) {
-    out << "counter," << name << ",value," << c->value() << '\n';
-  }
-  for (const auto& [name, g] : impl_->gauges) {
-    out << "gauge," << name << ",value," << g->value() << '\n';
-  }
-  for (const auto& [name, h] : impl_->histograms) {
-    out << "histogram," << name << ",count," << h->count() << '\n';
-    out << "histogram," << name << ",sum," << h->sum() << '\n';
-    out << "histogram," << name << ",p50," << h->quantile(0.50) << '\n';
-    out << "histogram," << name << ",p90," << h->quantile(0.90) << '\n';
-    out << "histogram," << name << ",p99," << h->quantile(0.99) << '\n';
-    for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
-      const std::uint64_t n = h->bucket_count(i);
-      if (n == 0) continue;
-      out << "histogram," << name << ",le_" << Histogram::bucket_max(i) << ','
-          << n << '\n';
-    }
-  }
-}
-
 namespace {
 
 /// Mangles a registry name into a legal Prometheus metric name:
@@ -298,11 +274,7 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
 bool MetricsRegistry::write_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
-  if (path.ends_with(".csv")) {
-    write_csv(out);
-  } else {
-    write_json(out);
-  }
+  write_json(out);
   return static_cast<bool>(out);
 }
 

@@ -24,9 +24,9 @@
 //       obs::MetricsRegistry::instance().counter("hetero.queue.cas_retries");
 //   retries.add(n);
 //
-// Exports: a flat JSON object (write_json) or CSV rows (write_csv), both
-// wired to `eardec_cli --metrics <file>` and the EARDEC_METRICS env var of
-// the bench binaries.
+// Exports: a flat JSON object (write_json), wired to `eardec_cli --metrics
+// <file>` and the EARDEC_METRICS env var of the bench binaries, and the
+// Prometheus text the stats server's /metrics serves (write_prometheus).
 #pragma once
 
 #include <atomic>
@@ -187,17 +187,13 @@ class MetricsRegistry {
   /// Flat JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   /// Histograms carry count/sum/p50/p90/p99 plus the non-empty buckets.
   void write_json(std::ostream& out) const;
-  /// CSV rows: kind,name,field,value (histograms add count/sum/p50/p90/p99
-  /// rows plus one row per non-empty bucket, field = inclusive upper bound).
-  void write_csv(std::ostream& out) const;
   /// Prometheus text exposition format (version 0.0.4): every instrument,
   /// names mangled to `eardec_<name>` with non-[a-zA-Z0-9_] characters
   /// replaced by '_'. Histograms emit cumulative `_bucket{le="..."}`
   /// series plus `_sum`/`_count` and derived `_p50`/`_p90`/`_p99` gauges.
   /// This is what the obs::StatsServer `/metrics` endpoint serves.
   void write_prometheus(std::ostream& out) const;
-  /// Writes by extension: ".csv" -> CSV, anything else -> JSON. False if
-  /// the file cannot be opened.
+  /// write_json to a file. False if the file cannot be opened.
   bool write_file(const std::string& path) const;
 
  private:

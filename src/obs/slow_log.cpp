@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <sstream>
 #include <string>
 
@@ -22,18 +21,6 @@
 
 namespace eardec::obs {
 namespace {
-
-/// Log2 bucketing, same scheme as obs::Histogram: bucket 0 = {0}, bucket i
-/// covers [2^(i-1), 2^i - 1].
-constexpr std::size_t kLatBuckets = 65;
-
-std::size_t bucket_index(std::uint64_t v) noexcept {
-  return static_cast<std::size_t>(std::bit_width(v));
-}
-
-std::uint64_t bucket_lower_bound(std::size_t i) noexcept {
-  return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
-}
 
 const char* keep_name(SlowLog::Keep reason) noexcept {
   switch (reason) {
@@ -96,7 +83,7 @@ struct SlowLog::Impl {
   std::atomic<std::uint64_t> uniform_stride{0};
   std::atomic<std::uint64_t> observed{0};
   std::atomic<std::uint64_t> threshold_ns{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> lat_buckets[kLatBuckets] = {};
+  std::atomic<std::uint64_t> lat_buckets[Histogram::kNumBuckets] = {};
   std::atomic<std::uint64_t> cursor{0};
   Slot ring[kRingSlots];
 
@@ -104,9 +91,9 @@ struct SlowLog::Impl {
   /// every 256 observations by whichever serving thread lands on the
   /// stride; racing recomputes are harmless (same data, same answer).
   void recompute_threshold() noexcept {
-    std::uint64_t counts[kLatBuckets];
+    std::uint64_t counts[Histogram::kNumBuckets];
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < kLatBuckets; ++i) {
+    for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
       counts[i] = lat_buckets[i].load(std::memory_order_relaxed);
       total += counts[i];
     }
@@ -115,10 +102,10 @@ struct SlowLog::Impl {
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
                                        0.99 * static_cast<double>(total)));
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < kLatBuckets; ++i) {
+    for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
       cum += counts[i];
       if (cum >= target) {
-        threshold_ns.store(bucket_lower_bound(i), std::memory_order_relaxed);
+        threshold_ns.store(Histogram::bucket_min(i), std::memory_order_relaxed);
         return;
       }
     }
@@ -150,7 +137,7 @@ bool SlowLog::armed() const noexcept {
 
 SlowLog::Keep SlowLog::observe(std::uint64_t total_ns) noexcept {
   if (!armed()) return Keep::kNo;
-  impl_->lat_buckets[bucket_index(total_ns)].fetch_add(
+  impl_->lat_buckets[Histogram::bucket_index(total_ns)].fetch_add(
       1, std::memory_order_relaxed);
   const std::uint64_t n =
       impl_->observed.fetch_add(1, std::memory_order_relaxed) + 1;

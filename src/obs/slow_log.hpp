@@ -1,5 +1,5 @@
 // Latency attribution and the tail-sampled slow-query exemplar store
-// (docs/observability.md, "Per-query tracing & flight recorder").
+// (docs/observability.md, "Per-query tracing").
 //
 // The request owner (the HTTP query routes, bench_oracle_serve) reads the
 // clock four times per request — arrival, oracle call, oracle return,

@@ -3,16 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <ostream>
-
-#ifdef __unix__
-#include <unistd.h>
-#endif
 
 namespace eardec::obs {
 namespace {
@@ -71,16 +66,6 @@ struct Tracer::Impl {
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
   std::vector<ThreadBuffer*> free_list;  ///< lanes of exited threads
 
-  /// Lock-free lane registry for the flight recorder: ThreadBuffer
-  /// allocations are stable (owned by `buffers`, never freed — exited
-  /// threads only return lanes to the free list), so publishing the raw
-  /// pointers into a fixed atomic array lets a signal handler walk every
-  /// lane without touching the mutex. Slot i mirrors buffers[i]; the count
-  /// is release-published after the slot store.
-  static constexpr std::size_t kMaxFlightLanes = 64;
-  std::atomic<ThreadBuffer*> flight_lanes[kMaxFlightLanes] = {};
-  std::atomic<std::uint32_t> flight_lane_count{0};
-
   ThreadBuffer* acquire() {
     const std::lock_guard lock(mutex);
     if (!free_list.empty()) {
@@ -90,14 +75,7 @@ struct Tracer::Impl {
     }
     buffers.push_back(std::make_unique<ThreadBuffer>());
     buffers.back()->tid = static_cast<std::uint32_t>(buffers.size() - 1);
-    ThreadBuffer* buf = buffers.back().get();
-    if (buf->tid < kMaxFlightLanes) {
-      flight_lanes[buf->tid].store(buf, std::memory_order_release);
-      flight_lane_count.store(static_cast<std::uint32_t>(
-                                  std::min(buffers.size(), kMaxFlightLanes)),
-                              std::memory_order_release);
-    }
-    return buf;
+    return buffers.back().get();
   }
 
   void release(ThreadBuffer* buf) {
@@ -267,140 +245,6 @@ bool Tracer::write_chrome_trace_file(const std::string& path) const {
   if (!out) return false;
   write_chrome_trace(out);
   return static_cast<bool>(out);
-}
-
-// ---------------------------------------------------------------------------
-// Flight dump: the async-signal-safe export path. Everything below uses only
-// write(2) plus hand-rolled formatting — no locks, no allocation, no stdio —
-// so obs/flight_recorder.hpp can call it from SIGSEGV/SIGABRT handlers.
-// Events a thread is writing concurrently are tolerated: the newest slot of
-// a lane may be torn, so names are copied through a sanitizer that keeps the
-// JSON well-formed no matter what bytes are found.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-#ifdef __unix__
-
-/// Buffered signal-safe writer: batches small appends into a fixed buffer
-/// and flushes with write(2), retrying on EINTR.
-struct FlightWriter {
-  int fd;
-  char buf[1024];
-  std::size_t len = 0;
-  bool ok = true;
-
-  explicit FlightWriter(int fd_in) : fd(fd_in) {}
-
-  void flush() noexcept {
-    std::size_t off = 0;
-    while (ok && off < len) {
-      const ssize_t n = ::write(fd, buf + off, len - off);
-      if (n > 0) {
-        off += static_cast<std::size_t>(n);
-      } else if (n < 0 && errno == EINTR) {
-        continue;
-      } else {
-        ok = false;
-      }
-    }
-    len = 0;
-  }
-
-  void put(char c) noexcept {
-    if (len == sizeof(buf)) flush();
-    buf[len++] = c;
-  }
-
-  void raw(const char* s) noexcept {
-    for (; *s != '\0'; ++s) put(*s);
-  }
-
-  void u64(std::uint64_t v) noexcept {
-    char digits[20];
-    std::size_t n = 0;
-    do {
-      digits[n++] = static_cast<char>('0' + v % 10);
-      v /= 10;
-    } while (v != 0);
-    while (n > 0) put(digits[--n]);
-  }
-
-  /// Emits a quoted JSON string from possibly-torn memory: copies at most
-  /// `cap` bytes, stops at NUL, and replaces anything that could break the
-  /// JSON (quotes, backslashes, control or non-ASCII bytes) with '_'.
-  void sanitized(const char* s, std::size_t cap) noexcept {
-    put('"');
-    for (std::size_t i = 0; s != nullptr && i < cap && s[i] != '\0'; ++i) {
-      const unsigned char c = static_cast<unsigned char>(s[i]);
-      put(c >= 0x20 && c < 0x7f && c != '"' && c != '\\'
-              ? static_cast<char>(c)
-              : '_');
-    }
-    put('"');
-  }
-};
-
-#endif  // __unix__
-
-}  // namespace
-
-bool Tracer::write_flight_dump(int fd, const char* reason) const noexcept {
-#if !defined(__unix__)
-  (void)fd;
-  (void)reason;
-  return false;
-#else
-  if constexpr (!kTracingEnabled) return false;
-  if (fd < 0) return false;
-  // Cap the per-lane event walk so the dump stays small and fast even with
-  // full rings (a crash handler should not spend seconds formatting 8k
-  // events x 64 lanes).
-  constexpr std::uint64_t kEventsPerLane = 256;
-  FlightWriter w(fd);
-  w.raw("{\"flight\":1,\"reason\":");
-  w.sanitized(reason != nullptr ? reason : "unknown", 64);
-  w.raw(",\"now_ns\":");
-  w.u64(now_ns());
-  w.raw(",\"lanes\":[");
-  const std::uint32_t lanes =
-      impl_->flight_lane_count.load(std::memory_order_acquire);
-  bool first_lane = true;
-  for (std::uint32_t l = 0; l < lanes && l < Impl::kMaxFlightLanes; ++l) {
-    const ThreadBuffer* buf =
-        impl_->flight_lanes[l].load(std::memory_order_acquire);
-    if (buf == nullptr) continue;
-    if (!first_lane) w.put(',');
-    first_lane = false;
-    w.raw("{\"tid\":");
-    w.u64(buf->tid);
-    w.raw(",\"events\":[");
-    const std::uint64_t c = buf->count.load(std::memory_order_acquire);
-    const std::uint64_t n =
-        std::min<std::uint64_t>({c, kRingCapacity, kEventsPerLane});
-    for (std::uint64_t i = c - n; i < c; ++i) {
-      const TraceEvent& e = buf->events[i % kRingCapacity];
-      if (i != c - n) w.put(',');
-      w.raw("{\"name\":");
-      w.sanitized(e.name, 64);
-      w.raw(",\"start_ns\":");
-      w.u64(e.start_ns);
-      w.raw(",\"dur_ns\":");
-      w.u64(e.dur_ns);
-      if (e.arg_name != nullptr) {
-        w.raw(",\"arg_name\":");
-        w.sanitized(e.arg_name, 64);
-        w.raw(",\"arg\":");
-        w.u64(e.arg);
-      }
-      w.put('}');
-    }
-    w.raw("]}");
-  }
-  w.raw("]}\n");
-  w.flush();
-  return w.ok;
-#endif
 }
 
 }  // namespace eardec::obs

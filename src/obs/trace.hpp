@@ -85,16 +85,6 @@ class Tracer {
                    std::uint64_t dur_ns, const char* arg_name = nullptr,
                    std::uint64_t arg = 0);
 
-  /// Async-signal-safe best-effort dump of the newest ring contents as JSON
-  /// to an already-open file descriptor. Uses only write(2) and
-  /// hand-rolled formatting — no locks, no allocation — so the
-  /// flight recorder (obs/flight_recorder.hpp) can call it from
-  /// SIGSEGV/SIGABRT handlers. Events being written concurrently are
-  /// skipped or sanitized, never blocked on. `reason` must be a short
-  /// NUL-terminated ASCII string. Returns false when tracing is compiled out
-  /// or fd is invalid.
-  bool write_flight_dump(int fd, const char* reason) const noexcept;
-
   /// Labels the calling thread's lane in exports ("cpu-worker-3"). No-op
   /// while disabled.
   void set_current_thread_name(std::string name);

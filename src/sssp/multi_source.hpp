@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sssp/floyd_warshall.hpp"  // DistanceMatrix, TriangleMatrix
+#include "sssp/distance_matrix.hpp"
 
 namespace eardec::sssp {
 

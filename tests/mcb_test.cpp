@@ -15,9 +15,9 @@
 #include "mcb/depina.hpp"
 #include "mcb/ear_mcb.hpp"
 #include "mcb/fvs.hpp"
-#include "mcb/horton.hpp"
 #include "mcb/signed_graph.hpp"
 #include "reduce/chains.hpp"
+#include "testing/horton.hpp"
 
 namespace eardec::mcb {
 namespace {
@@ -25,6 +25,8 @@ namespace {
 namespace gen = graph::generators;
 using graph::Builder;
 using graph::Graph;
+using eardec::testing::horton_mcb;
+using eardec::testing::HortonResult;
 
 // ------------------------------------------------------------------- GF(2)
 

@@ -27,7 +27,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/phase.hpp"
 #include "obs/rss.hpp"
@@ -689,16 +688,19 @@ TEST(ObsRegistry, JsonExportRoundTrips) {
   EXPECT_DOUBLE_EQ(bucket_total, 2.0);
 }
 
-TEST(ObsRegistry, CsvExportContainsInstrumentRows) {
+TEST(ObsRegistry, WriteFileIsJsonWhateverTheExtension) {
   auto& reg = obs::MetricsRegistry::instance();
-  reg.counter("obs_test.csv_counter").reset();
-  reg.counter("obs_test.csv_counter").add(7);
-  std::ostringstream out;
-  reg.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,obs_test.csv_counter,value,7"),
-            std::string::npos);
+  reg.counter("obs_test.file_counter").reset();
+  reg.counter("obs_test.file_counter").add(7);
+  const std::string path = "obs_test_metrics.csv";
+  ASSERT_TRUE(reg.write_file(path));
+  std::ifstream in(path);
+  std::ostringstream content;
+  content << in.rdbuf();
+  std::remove(path.c_str());
+  const JsonValue doc = JsonParser(content.str()).parse();
+  EXPECT_DOUBLE_EQ(
+      doc.obj().at("counters").obj().at("obs_test.file_counter").num(), 7.0);
 }
 
 // --- export args & concurrent lanes -------------------------------------
@@ -894,51 +896,6 @@ TEST_F(ObsSlowLogTest, RecordServedOffersEveryRequestToTheArmedLog) {
   }
   EXPECT_EQ(slow.observed(), 4u);
   EXPECT_EQ(slow.retained(), 2u);
-}
-
-// --- flight recorder ----------------------------------------------------
-
-TEST(ObsFlightRecorder, DumpNowWritesParseableSnapshot) {
-  obs::Tracer::instance().clear();
-  obs::Tracer::instance().set_enabled(true);
-  obs::Tracer::instance().record_span("obs_test.flight \"q\"", 1000, 2000,
-                                      "units", 4);
-  const std::string path = "obs_test_flight.json";
-  auto& flight = obs::FlightRecorder::instance();
-  if (!flight.arm(path)) {
-    obs::Tracer::instance().set_enabled(false);
-    obs::Tracer::instance().clear();
-    GTEST_SKIP() << "flight recorder unavailable (tracing off / non-POSIX)";
-  }
-  EXPECT_TRUE(flight.armed());
-  EXPECT_EQ(flight.path(), path);
-  ASSERT_TRUE(flight.dump_now("unit-test"));
-
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream content;
-  content << in.rdbuf();
-  const JsonValue doc = JsonParser(content.str()).parse();
-  const JsonObject& root = doc.obj();
-  EXPECT_DOUBLE_EQ(root.at("flight").num(), 1.0);
-  EXPECT_EQ(root.at("reason").str(), "unit-test");
-  bool saw_span = false;
-  for (const JsonValue& lane : root.at("lanes").arr()) {
-    for (const JsonValue& ev : lane.obj().at("events").arr()) {
-      const JsonObject& e = ev.obj();
-      // The signal-safe writer sanitizes quotes rather than escaping them.
-      if (e.at("name").str().rfind("obs_test.flight", 0) == 0) {
-        saw_span = true;
-        EXPECT_DOUBLE_EQ(e.at("dur_ns").num(), 2000.0);
-        EXPECT_EQ(e.at("arg_name").str(), "units");
-        EXPECT_DOUBLE_EQ(e.at("arg").num(), 4.0);
-      }
-    }
-  }
-  EXPECT_TRUE(saw_span);
-  std::remove(path.c_str());
-  obs::Tracer::instance().set_enabled(false);
-  obs::Tracer::instance().clear();
 }
 
 // --- RSS readings -------------------------------------------------------

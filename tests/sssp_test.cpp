@@ -9,9 +9,10 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/floyd_warshall.hpp"
+#include "sssp/distance_matrix.hpp"
 #include "sssp/frontier_sssp.hpp"
 #include "sssp/page_allocator.hpp"
+#include "testing/floyd_warshall.hpp"
 
 namespace eardec::sssp {
 namespace {
@@ -19,6 +20,8 @@ namespace {
 namespace gen = graph::generators;
 using graph::Builder;
 using graph::Graph;
+using eardec::testing::adjacency_matrix;
+using eardec::testing::floyd_warshall;
 
 TEST(Dijkstra, HandComputedPath) {
   Builder b(5);

@@ -5,11 +5,11 @@
 #include <numeric>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "core/ear_apsp.hpp"
 #include "graph/builder.hpp"
-#include "graph/reorder.hpp"
 #include "mcb/ear_mcb.hpp"
 
 namespace eardec::testing {
@@ -57,12 +57,36 @@ core::ApspOptions sequential_apsp() {
 
 }  // namespace
 
+Graph reorder_with(const Graph& g, const std::vector<VertexId>& to_new) {
+  const VertexId n = g.num_vertices();
+  if (to_new.size() != n) {
+    throw std::invalid_argument("reorder_with: permutation size mismatch");
+  }
+  std::vector<bool> taken(n, false);
+  for (const VertexId v : to_new) {
+    if (v >= n || taken[v]) {
+      throw std::invalid_argument("reorder_with: not a permutation");
+    }
+    taken[v] = true;
+  }
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<Weight> weights;
+  edges.reserve(g.num_edges());
+  weights.reserve(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [u, v] = g.endpoints(e);
+    edges.emplace_back(to_new[u], to_new[v]);
+    weights.push_back(g.weight(e));
+  }
+  return Graph(n, std::move(edges), std::move(weights));
+}
+
 Graph relabel_vertices(const Graph& g, std::uint64_t seed) {
   std::vector<VertexId> to_new(g.num_vertices());
   std::iota(to_new.begin(), to_new.end(), 0u);
   std::mt19937_64 rng(seed);
   std::shuffle(to_new.begin(), to_new.end(), rng);
-  return graph::reorder_with(g, std::move(to_new)).graph;
+  return reorder_with(g, to_new);
 }
 
 Graph scale_weights(const Graph& g, Weight factor) {
@@ -96,7 +120,7 @@ CheckResult check_relabel_invariance(const Graph& g, std::uint64_t seed,
   std::iota(to_new.begin(), to_new.end(), 0u);
   std::mt19937_64 rng(seed);
   std::shuffle(to_new.begin(), to_new.end(), rng);
-  const Graph h = graph::reorder_with(g, to_new).graph;
+  const Graph h = reorder_with(g, to_new);
   const auto close = [tol = pair_tolerance(g, h)](Weight a, Weight b) {
     return weights_close(a, b, tol);
   };

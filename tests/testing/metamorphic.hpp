@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "testing/oracles.hpp"  // CheckResult
@@ -19,6 +20,11 @@ using graph::VertexId;
 using graph::Weight;
 
 // ------------------------------------------------------------- transforms
+
+/// Relabels vertex v as to_new[v], keeping edge ids and weights. Throws
+/// std::invalid_argument unless to_new is a permutation of [0, n).
+[[nodiscard]] Graph reorder_with(const Graph& g,
+                                 const std::vector<VertexId>& to_new);
 
 /// Relabels vertices by a seed-derived random permutation.
 [[nodiscard]] Graph relabel_vertices(const Graph& g, std::uint64_t seed);

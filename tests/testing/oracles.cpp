@@ -14,9 +14,9 @@
 #include "mcb/depina.hpp"
 #include "serve/oracle_server.hpp"
 #include "mcb/ear_mcb.hpp"
-#include "mcb/horton.hpp"
 #include "sssp/dijkstra.hpp"
-#include "sssp/floyd_warshall.hpp"
+#include "testing/floyd_warshall.hpp"
+#include "testing/horton.hpp"
 
 namespace eardec::testing {
 
@@ -83,7 +83,7 @@ CheckResult check_apsp_vs_floyd_warshall(const Graph& g) {
   };
   const auto ours = core::ear_apsp_matrix(
       g, {.mode = core::ExecutionMode::Sequential});
-  const auto ref = sssp::floyd_warshall(g);
+  const auto ref = floyd_warshall(g);
   for (VertexId u = 0; u < g.num_vertices(); ++u) {
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       if (!close(ours.at(u, v), ref.at(u, v))) {
@@ -128,7 +128,7 @@ CheckResult compare_mcb(const Graph& g, const mcb::McbResult& ours,
 CheckResult check_mcb_vs_horton(const Graph& g) {
   const auto ours = mcb::minimum_cycle_basis(
       g, {.mode = core::ExecutionMode::Sequential});
-  const auto ref = mcb::horton_mcb(g);
+  const auto ref = horton_mcb(g);
   return compare_mcb(g, ours, ref.basis.size(), ref.total_weight, "Horton");
 }
 

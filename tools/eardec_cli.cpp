@@ -10,8 +10,6 @@
 //                                          N-vertex scaling graph via the
 //                                          parallel CSR builder)
 //   eardec_cli convert   <in> <out>        convert between formats
-//                                          (--reorder=bfs|degree relabels
-//                                          for locality on the way)
 //   eardec_cli summarize <graph>           header-only summary for .edg2
 //                                          (no payload load); counts for
 //                                          other formats
@@ -30,14 +28,13 @@
 //   --threads=N                CPU worker threads (default 4)
 //   --deep                     deep-validate .edg2 loads (payload checksum
 //                              + range scan; touches every page)
-//   --reorder=bfs|degree       convert: relabel vertices for locality
 //   --rss-gate[=factor]        decompose: after the phases, compare peak
 //                              RSS against the Phase 0–I memory model and
 //                              exit 1 if it exceeds model × factor
 //                              (default 1.25) — the CI scaling gate
 //   --trace <file>             record a Chrome trace (load in Perfetto /
 //                              chrome://tracing); also --trace=<file>
-//   --metrics <file>           dump the metrics registry (.json or .csv)
+//   --metrics <file>           dump the metrics registry as JSON
 //   --json-stats               print phase timings + scheduler counters as
 //                              one JSON object instead of the human summary
 //   --stats-port <p>           serve live stats over HTTP on 127.0.0.1:<p>
@@ -56,11 +53,6 @@
 //                              the same JSON as GET /debug/slow) to <file>.
 //                              The exemplar store is armed for the whole
 //                              serve run whether or not this is set.
-//
-// serve also arms the flight recorder (crash-safe trace-ring snapshot to
-// eardec-flight-<pid>.json on SIGSEGV/SIGABRT or a stalled serve loop;
-// EARDEC_FLIGHT=off opts out, any other value overrides the path) — see
-// docs/observability.md.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -78,11 +70,9 @@
 #include "graph/edg2.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
-#include "graph/reorder.hpp"
 #include "graph/stats.hpp"
 #include "bench_common.hpp"
 #include "mcb/ear_mcb.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/rss.hpp"
 #include "obs/slow_log.hpp"
@@ -126,14 +116,13 @@ struct CliOptions {
   core::ApspOptions apsp{.mode = core::ExecutionMode::Multicore,
                          .cpu_threads = 4};
   std::string trace_path;    ///< --trace: Chrome trace JSON destination
-  std::string metrics_path;  ///< --metrics: registry dump (.json / .csv)
+  std::string metrics_path;  ///< --metrics: registry dump (JSON)
   bool json_stats = false;   ///< --json-stats: machine-readable summary
   int stats_port = -1;       ///< --stats-port: live HTTP endpoint (-1 = off)
   unsigned stats_linger = 0; ///< --stats-linger: seconds to serve after done
   unsigned serve_seconds = 0;  ///< serve: run time limit (0 = until signal)
   std::string slow_log_path;   ///< --slow-log: exemplar-ring dump on shutdown
   bool deep = false;           ///< --deep: deep-validate .edg2 loads
-  std::string reorder;         ///< --reorder: convert relabeling (bfs|degree)
   double rss_gate = 0.0;       ///< --rss-gate: decompose RSS/model factor (0 = off)
 };
 
@@ -186,11 +175,6 @@ std::vector<std::string> parse_args(int argc, char** argv, CliOptions& cli) {
       cli.slow_log_path = value_of(arg, "--slow-log", i);
     } else if (arg == "--deep") {
       cli.deep = true;
-    } else if (arg.starts_with("--reorder")) {
-      cli.reorder = value_of(arg, "--reorder", i);
-      if (cli.reorder != "bfs" && cli.reorder != "degree") {
-        throw std::runtime_error("unknown --reorder " + cli.reorder);
-      }
     } else if (arg == "--rss-gate") {
       cli.rss_gate = 1.25;
     } else if (arg.starts_with("--rss-gate=")) {
@@ -331,8 +315,7 @@ int usage() {
                "[--json-stats] [--stats-port <p>] "
                "[--stats-linger <sec>] [--serve-seconds <sec>] "
                "[--slow-log <file>] "
-               "[--deep] "
-               "[--reorder=bfs|degree] [--rss-gate[=factor]]\n");
+               "[--deep] [--rss-gate[=factor]]\n");
   return 2;
 }
 
@@ -420,19 +403,9 @@ int main(int argc, char** argv) {
     if (cmd == "convert") {
       if (pos.size() < 2) return usage();
       hetero::ThreadPool pool(opts.cpu_threads);
-      if (!cli.reorder.empty()) {
-        const graph::Reordered r = cli.reorder == "bfs"
-                                       ? graph::reorder_bfs(g)
-                                       : graph::reorder_by_degree(g);
-        save(pos[1], r.graph, &pool);
-        std::printf("wrote %s (%u vertices, %u edges, reorder=%s)\n",
-                    pos[1].c_str(), r.graph.num_vertices(),
-                    r.graph.num_edges(), cli.reorder.c_str());
-      } else {
-        save(pos[1], g, &pool);
-        std::printf("wrote %s (%u vertices, %u edges)\n", pos[1].c_str(),
-                    g.num_vertices(), g.num_edges());
-      }
+      save(pos[1], g, &pool);
+      std::printf("wrote %s (%u vertices, %u edges)\n", pos[1].c_str(),
+                  g.num_vertices(), g.num_edges());
       return 0;
     }
     if (cmd == "stats") {
@@ -559,12 +532,8 @@ int main(int argc, char** argv) {
       }
       serve::OracleServer server(g, {.build = opts});
       serve::register_query_routes(server);
-      // Tail-sampled exemplar store (GET /debug/slow, --slow-log) and the
-      // always-on flight recorder with a stalled-loop watchdog: a serve
-      // process that crashes or wedges leaves its newest spans behind.
+      // Tail-sampled exemplar store (GET /debug/slow, --slow-log).
       obs::SlowLog::instance().arm();
-      obs::FlightRecorder::instance().configure_from_env();
-      obs::FlightRecorder::instance().start_watchdog(/*stall_ms=*/5000);
       auto& stats = obs::StatsServer::instance();
       if (!stats.running() &&
           !stats.start(cli.stats_port >= 0
@@ -589,10 +558,8 @@ int main(int argc, char** argv) {
       while (g_serve_stop == 0 &&
              (cli.serve_seconds == 0 ||
               std::chrono::steady_clock::now() < deadline)) {
-        obs::FlightRecorder::instance().heartbeat();
         std::this_thread::sleep_for(std::chrono::milliseconds(50));
       }
-      obs::FlightRecorder::instance().stop_watchdog();
       // Join the serving thread before the handler's OracleServer target
       // goes out of scope; only then drop the routes.
       stats.stop();
