@@ -1,16 +1,12 @@
 // Ablation: the bit-sliced GF(2) witness kernels vs the naive
 // one-BitVector-per-witness loop they replaced. Sweeps witness count ×
-// cycle-vector density × device-offload threshold over a synthetic De
-// Pina orthogonalization schedule (phase i updates rows i+1..f against a
-// random cycle vector), with all three implementations fed the exact same
-// vectors from a fixed seed:
+// cycle-vector density over a synthetic De Pina orthogonalization schedule
+// (phase i updates rows i+1..f against a random cycle vector), with both
+// implementations fed the exact same vectors from a fixed seed:
 //
-//   naive          — std::vector<BitVector>, per-row dot + xor_assign
-//   matrix_cpu     — WitnessMatrix blocked CPU sweep (sparse supports,
-//                    word-range pruning, 4-way unrolled XOR)
-//   matrix_device  — head row on the CPU, tail offloaded to the software
-//                    device block-XOR kernel when the remaining row count
-//                    clears the threshold
+//   naive       — std::vector<BitVector>, per-row dot + xor_assign
+//   matrix_cpu  — WitnessMatrix blocked CPU sweep (sparse supports,
+//                 word-range pruning, 4-way unrolled XOR)
 //
 // Emits bench_results/mcb_gf2.json (schema_version + git_sha). `--smoke`
 // shrinks the sweep to one cell per implementation for CI.
@@ -21,7 +17,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "hetero/device.hpp"
 #include "mcb/gf2.hpp"
 #include "mcb/witness_matrix.hpp"
 
@@ -72,30 +67,10 @@ double run_matrix_cpu(std::size_t f, const std::vector<BitVector>& cis,
   });
 }
 
-double run_matrix_device(std::size_t f, const std::vector<BitVector>& cis,
-                         std::uint32_t threshold,
-                         eardec::hetero::Device& device,
-                         Gf2KernelStats& stats) {
-  WitnessMatrix m(f);
-  return eardec::bench::time_seconds([&] {
-    for (std::size_t i = 0; i + 1 < f; ++i) {
-      const std::size_t remaining = f - i - 1;
-      if (remaining >= threshold && i + 2 < f) {
-        stats.accumulate(m.orthogonalize(i, cis[i], i + 1, i + 2));
-        stats.accumulate(
-            m.orthogonalize_device(i, cis[i], i + 2, f, device));
-      } else {
-        stats.accumulate(m.orthogonalize(i, cis[i], i + 1, f));
-      }
-    }
-  });
-}
-
 struct Cell {
   std::size_t f;
   double density;
   std::string impl;
-  std::uint32_t device_threshold;  // 0 when the cell never offloads
   double seconds;
   Gf2KernelStats stats;
 };
@@ -116,17 +91,15 @@ void emit_json(const std::vector<Cell>& cells, bool smoke) {
     std::fprintf(
         out,
         "    {\"witnesses\": %zu, \"density\": %.2f, \"impl\": \"%s\", "
-        "\"device_threshold\": %u, \"seconds\": %.6f, "
+        "\"seconds\": %.6f, "
         "\"dots\": %llu, \"sparse_dots\": %llu, \"words_xored\": %llu, "
-        "\"range_skips\": %llu, \"promotions\": %llu, "
-        "\"device_rows\": %llu}%s\n",
-        c.f, c.density, c.impl.c_str(), c.device_threshold, c.seconds,
+        "\"range_skips\": %llu, \"promotions\": %llu}%s\n",
+        c.f, c.density, c.impl.c_str(), c.seconds,
         static_cast<unsigned long long>(c.stats.dots),
         static_cast<unsigned long long>(c.stats.sparse_dots),
         static_cast<unsigned long long>(c.stats.words_xored),
         static_cast<unsigned long long>(c.stats.range_skips),
         static_cast<unsigned long long>(c.stats.promotions),
-        static_cast<unsigned long long>(c.stats.device_rows),
         i + 1 < cells.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -149,33 +122,22 @@ int main(int argc, char** argv) {
   const std::vector<double> densities =
       smoke ? std::vector<double>{0.1}
             : std::vector<double>{0.01, 0.1, 0.5};
-  const std::vector<std::uint32_t> thresholds =
-      smoke ? std::vector<std::uint32_t>{64}
-            : std::vector<std::uint32_t>{16, 64, 256};
 
-  eardec::hetero::Device device({.workers = 2, .warp_size = 32});
   std::vector<Cell> cells;
-  std::printf("%-10s %-8s %-14s %-10s %-10s\n", "witnesses", "density",
-              "impl", "threshold", "seconds");
+  std::printf("%-10s %-8s %-14s %-10s\n", "witnesses", "density", "impl",
+              "seconds");
   for (const std::size_t f : counts) {
     for (const double density : densities) {
       const auto cis = make_schedule(f, density, /*seed=*/0x6f2e);
-      const auto record = [&](std::string impl, std::uint32_t threshold,
-                              double seconds, Gf2KernelStats stats) {
-        std::printf("%-10zu %-8.2f %-14s %-10u %10.6f\n", f, density,
-                    impl.c_str(), threshold, seconds);
-        cells.push_back(
-            {f, density, std::move(impl), threshold, seconds, stats});
+      const auto record = [&](std::string impl, double seconds,
+                              Gf2KernelStats stats) {
+        std::printf("%-10zu %-8.2f %-14s %10.6f\n", f, density,
+                    impl.c_str(), seconds);
+        cells.push_back({f, density, std::move(impl), seconds, stats});
       };
-      record("naive", 0, run_naive(f, cis), {});
+      record("naive", run_naive(f, cis), {});
       Gf2KernelStats cpu_stats;
-      record("matrix_cpu", 0, run_matrix_cpu(f, cis, cpu_stats), cpu_stats);
-      for (const std::uint32_t threshold : thresholds) {
-        Gf2KernelStats dev_stats;
-        record("matrix_device", threshold,
-               run_matrix_device(f, cis, threshold, device, dev_stats),
-               dev_stats);
-      }
+      record("matrix_cpu", run_matrix_cpu(f, cis, cpu_stats), cpu_stats);
     }
   }
   emit_json(cells, smoke);

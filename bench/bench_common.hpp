@@ -25,7 +25,10 @@ namespace eardec::bench {
 /// Bumped whenever the shape of a bench_results/*.json file changes, so the
 /// plotting/diffing scripts can reject snapshots they don't understand.
 /// v3: the v2 "pmu" provenance block is gone (the PMU engine was removed).
-inline constexpr int kBenchSchemaVersion = 3;
+/// v4: mcb_gf2.json cells lose their two device-sweep keys, the offload
+/// threshold and the offloaded row count (the device witness sweep was
+/// removed); every other file is shaped as in v3.
+inline constexpr int kBenchSchemaVersion = 4;
 
 /// Git revision the binary was built from (baked in by bench/CMakeLists.txt;
 /// "unknown" outside a git checkout).

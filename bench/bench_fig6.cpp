@@ -22,8 +22,7 @@ int main() {
   }
   bench::print_rule(82);
   std::printf("Shape check: the w/o-ears anchor is slowest exactly on the "
-              "degree-2-rich graphs (as-22july06, c-50); on one physical "
-              "core the four implementations cluster together (Figure 5 "
-              "note).\n");
+              "degree-2-rich graphs (as-22july06, c-50); the four "
+              "implementations cluster together (Figure 5 note).\n");
   return 0;
 }

@@ -38,7 +38,7 @@ inline mcb::McbOptions bench_mcb_options(core::ExecutionMode mode,
 }
 
 /// Chain-rich subset used by smoke mode: high degree-2 fraction, so the
-/// ear-contraction and witness-offload paths both light up, and small
+/// ear-contraction path lights up, and small
 /// enough that two repetitions finish in CI seconds.
 inline bool smoke_dataset(const std::string& name) {
   return name == "as-22july06" || name == "c-50";

@@ -1,7 +1,5 @@
 #include "hetero/device.hpp"
 
-#include <vector>
-
 namespace eardec::hetero {
 
 Device::Device(DeviceConfig config)
@@ -14,63 +12,6 @@ void Device::launch(std::size_t grid,
   if (grid == 0) return;
   // Warp-granular dynamic striping over the device workers.
   pool_.parallel_for(0, grid, kernel, config_.warp_size);
-}
-
-void Device::run_blocks(std::size_t num_blocks, std::size_t shared_words,
-                        const std::function<void(Block&)>& kernel,
-                        bool allow_parallel) {
-  const auto run_one = [&](std::size_t b) {
-    // Per-block shared memory lives on the executing worker's stack frame,
-    // like the SM-local shared memory it stands in for.
-    std::vector<std::uint64_t> shared(shared_words, 0);
-    Block block(b, shared);
-    kernel(block);
-  };
-  if (allow_parallel) {
-    pool_.parallel_for(0, num_blocks, run_one);
-  } else {
-    for (std::size_t b = 0; b < num_blocks; ++b) run_one(b);
-  }
-}
-
-void Device::launch_blocks(std::size_t num_blocks, std::size_t shared_words,
-                           const std::function<void(Block&)>& kernel) {
-  kernels_.fetch_add(1, std::memory_order_relaxed);
-  if (num_blocks == 0) return;
-  run_blocks(num_blocks, shared_words, kernel, /*allow_parallel=*/true);
-}
-
-void Device::Async::wait() {
-  if (!state_) return;
-  std::unique_lock lock(state_->mutex);
-  state_->done_cv.wait(lock, [&] { return state_->done; });
-}
-
-Device::Async Device::launch_blocks_async(std::size_t num_blocks,
-                                          std::size_t shared_words,
-                                          std::function<void(Block&)> kernel) {
-  kernels_.fetch_add(1, std::memory_order_relaxed);
-  auto state = std::make_shared<Async::State>();
-  if (num_blocks == 0) {
-    state->done = true;
-    return Async(std::move(state));
-  }
-  // One device worker drives the grid; on a multi-worker device it fans the
-  // blocks back out via parallel_for (the driver participates). On a
-  // one-worker device the driver IS the last worker, so it must run the
-  // blocks serially — parallel_for would queue helpers no one can run.
-  const bool fan_out = pool_.size() > 1;
-  pool_.submit(
-      [this, state, num_blocks, shared_words, kernel = std::move(kernel),
-       fan_out] {
-        run_blocks(num_blocks, shared_words, kernel, fan_out);
-        {
-          const std::lock_guard lock(state->mutex);
-          state->done = true;
-        }
-        state->done_cv.notify_all();
-      });
-  return Async(std::move(state));
 }
 
 }  // namespace eardec::hetero

@@ -1,7 +1,7 @@
 // Packed GF(2) vectors — witnesses and restricted cycle vectors live in
 // {0,1}^f with f = |E'| (non-tree edges). Inner products and symmetric
 // differences are the inner loops of De Pina's algorithm, so they are
-// word-parallel; the device witness-update kernel works on the same words.
+// word-parallel.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,7 @@ class BitVector {
   [[nodiscard]] std::size_t popcount() const;
   [[nodiscard]] bool any() const;
 
-  /// Raw 64-bit words (for device kernels and tests).
+  /// Raw 64-bit words (for the witness matrix and tests).
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept {
     return words_;
   }

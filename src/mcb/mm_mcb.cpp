@@ -2,12 +2,9 @@
 
 #include <atomic>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 
-#include "hetero/scheduler.hpp"
-#include "hetero/work_queue.hpp"
 #include "mcb/cycle_store.hpp"
 #include "mcb/fvs.hpp"
 #include "mcb/labelled_trees.hpp"
@@ -88,14 +85,6 @@ void McbStats::accumulate(const McbStats& o) {
 McbResult mm_mcb(const Graph& g, const McbOptions& options,
                  hetero::ThreadPool* pool, hetero::Device* device) {
   McbResult result;
-  // Same degradation as minimum_cycle_basis (for direct callers): with no
-  // host parallelism the CPU/device overlap cannot exist, so the
-  // heterogeneous driver's dynamic schedule collapses to all-CPU.
-  const ExecutionMode mode =
-      options.mode == ExecutionMode::Heterogeneous &&
-              !hetero::host_has_parallelism()
-          ? ExecutionMode::Sequential
-          : options.mode;
   // Every McbStats field below is filled by obs::ScopedPhase: one clock
   // shared with the "mcb.phase.*" registry gauges and the trace timeline.
   std::optional<SpanningTree> tree;
@@ -131,28 +120,17 @@ McbResult mm_mcb(const Graph& g, const McbOptions& options,
   std::vector<std::uint8_t> odd(batch.size());
 
   Gf2KernelStats gf2;
-  // In-flight device sweep of witness rows [i+2, f), launched by the
-  // previous update step. While it runs, the CPU side relabels trees and
-  // scans candidates against row i+1 (which was updated inline before the
-  // launch) — the genuine CPU/device overlap of the heterogeneous driver.
-  std::optional<WitnessMatrix::PendingDeviceUpdate> pending;
 
   for (std::size_t i = 0; i < f; ++i) {
     EARDEC_TRACE_SCOPE("mcb.iteration", "phase", i);
     const WitnessView s = witness->view(i);
-    // While a device sweep is in flight, the CPU steps must not route
-    // through the heterogeneous dispatch: its device-driver task would
-    // contend with the kernel and its wait_idle() would serialize on it.
-    // The pool-only path IS the overlap.
-    const ExecutionMode step_mode =
-        pending ? ExecutionMode::Multicore : mode;
 
     // (1) Labels: one unit of work per FVS tree.
     {
       obs::ScopedPhase phase(result.stats.labels_seconds, "mcb.labels",
                              "mcb.phase.labels_s");
       // Trees are coarse units (O(n) each); parallelize from a handful up.
-      dispatch(step_mode, pool, device, lt->num_trees(),
+      dispatch(options.mode, pool, device, lt->num_trees(),
                [&](std::size_t t) { lt->relabel_tree(t, s); },
                /*serial_below=*/4);
     }
@@ -171,7 +149,7 @@ McbResult mm_mcb(const Graph& g, const McbOptions& options,
         // worth fanning out (the regime of the paper's full-size runs).
         // Below that, the hoisted-pointer serial scan with its mid-batch
         // early exit beats any dispatch indirection.
-        if (step_mode == ExecutionMode::Sequential || got < 512) {
+        if (options.mode == ExecutionMode::Sequential || got < 512) {
           const std::size_t hit = lt->first_odd(batch.data(), got, s);
           if (hit < got) {
             found_id = batch[hit];
@@ -179,7 +157,7 @@ McbResult mm_mcb(const Graph& g, const McbOptions& options,
           }
           continue;
         }
-        dispatch(step_mode, pool, device, got, [&](std::size_t k) {
+        dispatch(options.mode, pool, device, got, [&](std::size_t k) {
           odd[k] = lt->is_odd(lt->candidates()[batch[k]], s);
         });
         for (std::size_t k = 0; k < got; ++k) {
@@ -205,58 +183,19 @@ McbResult mm_mcb(const Graph& g, const McbOptions& options,
     }
 
     // (3) Independence test / witness update: one blocked pass over the
-    // witness arena (batched dots + masked conditional XOR).
+    // witness arena (batched dots + masked conditional XOR), on the CPU in
+    // every mode. Its sparse-support and word-range skips keep it to a few
+    // percent of a solve, and a device or pool split of it measured slower
+    // (docs/mcb_perf.md).
     {
       obs::ScopedPhase phase(result.stats.update_seconds, "mcb.update",
                              "mcb.phase.update_s");
-      // Any in-flight device sweep must retire before this phase mutates
-      // the rows it covers.
-      if (pending) {
-        gf2.accumulate(pending->join());
-        pending.reset();
-      }
       const BitVector ci = restricted_vector(*cycle, *tree);
-      const std::size_t remaining = f - i - 1;
-      // Each row update touches f/64 words; fan out once the remaining
-      // tail carries enough total work.
-      const std::size_t update_threshold = std::max<std::size_t>(
-          64, (1u << 16) / std::max<std::size_t>(1, f / 64));
-      const bool device_worthwhile =
-          device != nullptr && remaining >= options.device_witness_rows;
-      if (mode == ExecutionMode::Heterogeneous && device_worthwhile) {
-        // Row i+1 (the next phase's witness) updates inline; the tail ships
-        // to the device and retires during the next labels/search steps.
-        gf2.accumulate(witness->orthogonalize(i, ci, i + 1, i + 2));
-        pending = witness->orthogonalize_device_async(i, ci, i + 2, f,
-                                                      *device);
-      } else if (mode == ExecutionMode::DeviceOnly && device_worthwhile) {
-        gf2.accumulate(witness->orthogonalize_device(i, ci, i + 1, f,
-                                                     *device));
-      } else if (mode == ExecutionMode::Multicore && pool != nullptr &&
-                 remaining >= update_threshold) {
-        // Disjoint row chunks; each chunk is an independent blocked pass.
-        const std::size_t chunk = std::max<std::size_t>(
-            64, remaining / (4 * (pool->size() + 1)));
-        const std::size_t chunks = (remaining + chunk - 1) / chunk;
-        std::mutex stats_mutex;
-        pool->parallel_for(0, chunks, [&](std::size_t c) {
-          const std::size_t begin = i + 1 + c * chunk;
-          const std::size_t end = std::min(begin + chunk, f);
-          const auto st = witness->orthogonalize(i, ci, begin, end);
-          const std::lock_guard lock(stats_mutex);
-          gf2.accumulate(st);
-        });
-      } else {
-        gf2.accumulate(witness->orthogonalize(i, ci, i + 1, f));
-      }
+      gf2.accumulate(witness->orthogonalize(i, ci, i + 1, f));
     }
 
     result.total_weight += cycle->weight;
     result.basis.push_back(std::move(*cycle));
-  }
-  if (pending) {
-    gf2.accumulate(pending->join());
-    pending.reset();
   }
 
   // Mirror the run's scalar outcomes into the registry so `--metrics`
@@ -266,12 +205,6 @@ McbResult mm_mcb(const Graph& g, const McbOptions& options,
   reg.counter("mcb.fallback_searches").add(result.stats.fallback_searches);
   reg.gauge("mcb.dimension").set(static_cast<double>(result.stats.dimension));
   reg.gauge("mcb.candidates").set(static_cast<double>(result.stats.candidates));
-  const std::uint64_t swept_rows = gf2.cpu_rows + gf2.device_rows;
-  if (swept_rows != 0) {
-    reg.gauge("mcb.gf2.device_offload_fraction")
-        .set(static_cast<double>(gf2.device_rows) /
-             static_cast<double>(swept_rows));
-  }
   return result;
 }
 

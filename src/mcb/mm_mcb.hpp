@@ -1,9 +1,10 @@
 // The parallel Mehlhorn–Michail MCB solver (paper Section 3.3.2): per
 // phase, (1) relabel every FVS tree against the current witness, (2) scan
 // the weight-sorted candidate store in batches for the first cycle
-// non-orthogonal to the witness, (3) update the remaining witnesses. All
-// three steps run under the selected execution mode (sequential, CPU pool,
-// software device, or the heterogeneous work queue).
+// non-orthogonal to the witness, (3) update the remaining witnesses. Steps
+// (1) and (2) run under the selected execution mode (sequential, CPU pool,
+// software device, or the heterogeneous work queue); step (3) is one CPU
+// pass in every mode.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +31,6 @@ struct McbOptions {
   hetero::DeviceConfig device{};
   /// Candidates checked per scan batch (paper: "logical batches").
   std::uint32_t batch_size = 256;
-  /// Remaining-witness count at which the orthogonalization sweep is
-  /// shipped to the device's block-XOR kernel (DeviceOnly and
-  /// Heterogeneous modes). Below it, launch overhead dominates and the
-  /// sweep stays on the CPU. In Heterogeneous mode the device tail runs
-  /// asynchronously, overlapped with the next phase's candidate search.
-  std::uint32_t device_witness_rows = 64;
   /// Contract degree-two chains first (Lemma 3.1). Off = the paper's
   /// "w/o ear-decomposition" columns in Table 2.
   bool use_ear_decomposition = true;

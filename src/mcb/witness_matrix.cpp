@@ -53,7 +53,6 @@ void Gf2KernelStats::accumulate(const Gf2KernelStats& o) {
   range_skips += o.range_skips;
   promotions += o.promotions;
   cpu_rows += o.cpu_rows;
-  device_rows += o.device_rows;
 }
 
 void Gf2KernelStats::export_to_metrics() const {
@@ -67,7 +66,6 @@ void Gf2KernelStats::export_to_metrics() const {
   static obs::Counter& range_skips_c = reg.counter("mcb.gf2.range_skips");
   static obs::Counter& promotions_c = reg.counter("mcb.gf2.sparse_promotions");
   static obs::Counter& cpu_rows_c = reg.counter("mcb.gf2.cpu_rows");
-  static obs::Counter& device_rows_c = reg.counter("mcb.gf2.device_rows");
   if (dots != 0) dots_c.add(dots);
   if (sparse_dots != 0) sparse_dots_c.add(sparse_dots);
   if (rows_updated != 0) rows_updated_c.add(rows_updated);
@@ -75,7 +73,6 @@ void Gf2KernelStats::export_to_metrics() const {
   if (range_skips != 0) range_skips_c.add(range_skips);
   if (promotions != 0) promotions_c.add(promotions);
   if (cpu_rows != 0) cpu_rows_c.add(cpu_rows);
-  if (device_rows != 0) device_rows_c.add(device_rows);
 }
 
 WitnessMatrix::WitnessMatrix(std::size_t bits, std::size_t crossover)
@@ -140,7 +137,7 @@ void WitnessMatrix::xor_pivot_into(std::size_t pivot, std::size_t j,
     const std::uint64_t* rp = row_ptr(pivot);
     std::size_t w = pm.lo;
     // Four independent streams per step keep the XOR sweep ahead of the
-    // load latency (the same unroll the device kernel gets from its warps).
+    // load latency.
     for (; w + 4 <= pm.hi; w += 4) {
       rj[w] ^= rp[w];
       rj[w + 1] ^= rp[w + 1];
@@ -216,8 +213,6 @@ Gf2KernelStats WitnessMatrix::orthogonalize(std::size_t pivot,
     return st;
   }
 
-  // One merge buffer per sweep (not per matrix): concurrent sweeps over
-  // disjoint row chunks each get their own, so they never race.
   std::vector<std::uint32_t> merge_scratch;
   for (std::size_t j = begin; j < end; ++j) {
     if (j == pivot) continue;  // the self-pair would zero the pivot
@@ -256,102 +251,6 @@ Gf2KernelStats WitnessMatrix::orthogonalize(std::size_t pivot,
     if (odd) xor_pivot_into(pivot, j, st, merge_scratch);
   }
   return st;
-}
-
-WitnessMatrix::PendingDeviceUpdate WitnessMatrix::orthogonalize_device_async(
-    std::size_t pivot, const BitVector& ci, std::size_t begin, std::size_t end,
-    hetero::Device& device) {
-  PendingDeviceUpdate pending;
-  pending.matrix_ = this;
-  pending.pivot_ = pivot;
-  pending.begin_ = begin;
-  pending.end_ = end < begin ? begin : end;
-  pending.ci_ = ci;  // the kernel reads the copy, so the caller's may die
-  if (pending.begin_ >= pending.end_) return pending;
-
-  pending.updated_.assign(pending.end_ - pending.begin_, 0);
-  const std::uint64_t* cw = pending.ci_.words().data();
-  const std::size_t cw_words = pending.ci_.words().size();
-  const std::uint64_t* pivot_row = row_ptr(pivot);
-  std::uint64_t* arena = words_.data();
-  std::uint8_t* updated = pending.updated_.data();
-  const std::size_t wpr = wpr_;
-  const std::size_t words = std::min(wpr, cw_words);
-  // The paper's block-per-witness kernel (Section 3.3.2): lanes AND the row
-  // with C_i into shared memory, a tree reduction XORs the partial words
-  // (XOR preserves popcount parity), and odd blocks apply the symmetric
-  // difference with the pivot row in a final cooperative pass.
-  pending.async_ = device.launch_blocks_async(
-      pending.end_ - pending.begin_, words,
-      [arena, updated, cw, pivot_row, words, wpr,
-       begin](hetero::Device::Block& blk) {
-        std::uint64_t* rj = arena + (begin + blk.id()) * wpr;
-        auto shared = blk.shared();
-        blk.for_each_lane(words,
-                          [&](std::size_t w) { shared[w] = rj[w] & cw[w]; });
-        for (std::size_t stride = 1; stride < words; stride *= 2) {
-          blk.for_each_lane(words / (2 * stride) + 1, [&](std::size_t k) {
-            const std::size_t lo = 2 * stride * k;
-            if (lo + stride < words) shared[lo] ^= shared[lo + stride];
-          });
-        }
-        if (std::popcount(shared[0]) % 2 == 1) {
-          blk.for_each_lane(words,
-                            [&](std::size_t w) { rj[w] ^= pivot_row[w]; });
-          updated[blk.id()] = 1;
-        }
-      });
-  return pending;
-}
-
-Gf2KernelStats WitnessMatrix::finish_device_update(
-    std::size_t pivot, std::size_t begin, std::size_t end,
-    const std::vector<std::uint8_t>& updated) {
-  Gf2KernelStats st;
-  st.device_rows += end - begin;
-  st.dots += end - begin;
-  const RowMeta pm = meta_[pivot];
-  for (std::size_t j = begin; j < end; ++j) {
-    if (!updated[j - begin]) continue;
-    ++st.rows_updated;
-    st.words_xored += wpr_;  // the block kernel sweeps full rows
-    RowMeta& m = meta_[j];
-    if (m.sparse) {
-      // The kernel bypasses support lists; densify unconditionally.
-      m.sparse = false;
-      support_[j].clear();
-      support_[j].shrink_to_fit();
-      ++st.promotions;
-    }
-    if (m.lo >= m.hi) {
-      m.lo = pm.lo;
-      m.hi = pm.hi;
-    } else if (pm.lo < pm.hi) {
-      m.lo = std::min(m.lo, pm.lo);
-      m.hi = std::max(m.hi, pm.hi);
-    }
-  }
-  return st;
-}
-
-Gf2KernelStats WitnessMatrix::PendingDeviceUpdate::join() {
-  Gf2KernelStats st;
-  if (joined_ || matrix_ == nullptr || begin_ >= end_) {
-    joined_ = true;
-    return st;
-  }
-  async_.wait();
-  joined_ = true;
-  return matrix_->finish_device_update(pivot_, begin_, end_, updated_);
-}
-
-Gf2KernelStats WitnessMatrix::orthogonalize_device(std::size_t pivot,
-                                                   const BitVector& ci,
-                                                   std::size_t begin,
-                                                   std::size_t end,
-                                                   hetero::Device& device) {
-  auto pending = orthogonalize_device_async(pivot, ci, begin, end, device);
-  return pending.join();
 }
 
 }  // namespace eardec::mcb

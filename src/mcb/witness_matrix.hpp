@@ -5,8 +5,7 @@
 // orthogonalization — "make every later witness orthogonal to C_i" — runs
 // as one blocked pass over adjacent rows instead of f-i pointer-chasing
 // BitVector calls: batched AND+popcount-parity inner products, then a
-// masked conditional-XOR row sweep, unrolled four words at a time on the
-// CPU or shipped to the hetero::Device block-XOR kernel for large tails.
+// masked conditional-XOR row sweep, unrolled four words at a time.
 //
 // On top of the dense arena each row carries a hybrid sparse-support
 // representation: witnesses start as unit vectors and stay near-sparse for
@@ -22,7 +21,6 @@
 #include <span>
 #include <vector>
 
-#include "hetero/device.hpp"
 #include "mcb/gf2.hpp"
 
 namespace eardec::mcb {
@@ -36,8 +34,7 @@ struct Gf2KernelStats {
   std::uint64_t words_xored = 0;   ///< 64-bit words written by XOR sweeps
   std::uint64_t range_skips = 0;   ///< rows skipped by the word-range check
   std::uint64_t promotions = 0;    ///< sparse -> dense densifications
-  std::uint64_t cpu_rows = 0;      ///< rows swept on the CPU path
-  std::uint64_t device_rows = 0;   ///< rows swept by the device kernel
+  std::uint64_t cpu_rows = 0;      ///< rows swept
 
   void accumulate(const Gf2KernelStats& o);
   /// Adds every non-zero counter into the process-wide metrics registry.
@@ -119,42 +116,6 @@ class WitnessMatrix {
   Gf2KernelStats orthogonalize(std::size_t pivot, const BitVector& ci,
                                std::size_t begin, std::size_t end);
 
-  /// In-flight asynchronous device sweep; join() blocks until the kernel
-  /// retired, then applies the host-side row-metadata merge and returns the
-  /// kernel's work counters. Joining is mandatory before the matrix is
-  /// read, mutated, or destroyed.
-  class PendingDeviceUpdate {
-   public:
-    Gf2KernelStats join();
-
-   private:
-    friend class WitnessMatrix;
-    WitnessMatrix* matrix_ = nullptr;
-    std::size_t pivot_ = 0;
-    std::size_t begin_ = 0;
-    std::size_t end_ = 0;
-    BitVector ci_;
-    std::vector<std::uint8_t> updated_;
-    hetero::Device::Async async_;
-    bool joined_ = false;
-  };
-
-  /// Same pass as orthogonalize(), but swept by the device's block-wide
-  /// AND + tree-XOR-reduction kernel (DESIGN.md §2 / paper Section 3.3.2):
-  /// one cooperative block per row, conditional XOR on odd parity. Returns
-  /// without blocking; the caller owns the join. `ci` is copied into the
-  /// pending handle, so it may die before the join.
-  PendingDeviceUpdate orthogonalize_device_async(std::size_t pivot,
-                                                 const BitVector& ci,
-                                                 std::size_t begin,
-                                                 std::size_t end,
-                                                 hetero::Device& device);
-
-  /// Bulk-synchronous convenience wrapper: launch + join.
-  Gf2KernelStats orthogonalize_device(std::size_t pivot, const BitVector& ci,
-                                      std::size_t begin, std::size_t end,
-                                      hetero::Device& device);
-
  private:
   /// Conservative superset [lo, hi) of the row's non-zero words; lo == hi
   /// encodes an all-zero row. `sparse` iff support_[row] is the exact
@@ -173,15 +134,10 @@ class WitnessMatrix {
   }
 
   /// w_j ^= w_pivot plus all metadata maintenance (range union, support
-  /// symmetric difference or promotion). `merge_scratch` is a caller-owned
-  /// reuse buffer for the sparse-sparse merge — per sweep, not a member, so
-  /// concurrent sweeps over disjoint row ranges stay race-free.
+  /// symmetric difference or promotion). `merge_scratch` is the sweep's
+  /// reuse buffer for the sparse-sparse merge.
   void xor_pivot_into(std::size_t pivot, std::size_t j, Gf2KernelStats& st,
                       std::vector<std::uint32_t>& merge_scratch);
-  /// Metadata half of a device sweep (the kernel only touches words).
-  Gf2KernelStats finish_device_update(std::size_t pivot, std::size_t begin,
-                                      std::size_t end,
-                                      const std::vector<std::uint8_t>& updated);
 
   std::size_t bits_ = 0;
   std::size_t wpr_ = 0;  ///< words per row

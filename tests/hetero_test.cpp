@@ -425,61 +425,3 @@ TEST(Scheduler, DeviceSideSeesHeavyUnitsFirst) {
 
 }  // namespace
 }  // namespace eardec::hetero
-namespace eardec::hetero {
-namespace {
-
-TEST(DeviceBlocks, SharedScratchIsZeroedAndPerBlock) {
-  Device dev({.workers = 2});
-  std::vector<std::uint64_t> sums(8, 0);
-  dev.launch_blocks(sums.size(), 4, [&](Device::Block& blk) {
-    auto shared = blk.shared();
-    for (const std::uint64_t w : shared) EXPECT_EQ(w, 0u);
-    blk.for_each_lane(shared.size(), [&](std::size_t lane) {
-      shared[lane] = blk.id() + lane;
-    });
-    std::uint64_t total = 0;
-    blk.for_each_lane(shared.size(),
-                      [&](std::size_t lane) { total += shared[lane]; });
-    sums[blk.id()] = total;
-  });
-  for (std::size_t b = 0; b < sums.size(); ++b) {
-    EXPECT_EQ(sums[b], 4 * b + 6);  // b + (b+1) + (b+2) + (b+3)
-  }
-  EXPECT_EQ(dev.kernels_launched(), 1u);
-}
-
-TEST(DeviceBlocks, TreeReductionPattern) {
-  // The MCB witness-update reduction: XOR-combining shared words with
-  // doubling strides must fold everything into slot 0 for any word count.
-  Device dev({.workers = 2});
-  for (const std::size_t words : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    std::uint64_t result = 0;
-    std::uint64_t expected = 0;
-    for (std::size_t w = 0; w < words; ++w) expected ^= 0x9e3779b9ull * (w + 1);
-    dev.launch_blocks(1, words, [&](Device::Block& blk) {
-      auto shared = blk.shared();
-      blk.for_each_lane(words, [&](std::size_t w) {
-        shared[w] = 0x9e3779b9ull * (w + 1);
-      });
-      for (std::size_t stride = 1; stride < words; stride *= 2) {
-        blk.for_each_lane(words / (2 * stride) + 1, [&](std::size_t k) {
-          const std::size_t lo = 2 * stride * k;
-          if (lo + stride < words) shared[lo] ^= shared[lo + stride];
-        });
-      }
-      result = shared[0];
-    });
-    EXPECT_EQ(result, expected) << "words " << words;
-  }
-}
-
-TEST(DeviceBlocks, ZeroBlocksIsNoOp) {
-  Device dev;
-  dev.launch_blocks(0, 4, [](Device::Block&) {
-    FAIL() << "block executed on empty grid";
-  });
-  EXPECT_EQ(dev.kernels_launched(), 1u);
-}
-
-}  // namespace
-}  // namespace eardec::hetero

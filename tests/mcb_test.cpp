@@ -12,11 +12,12 @@
 #include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "mcb/cycle_store.hpp"
-#include "mcb/depina.hpp"
 #include "mcb/ear_mcb.hpp"
 #include "mcb/fvs.hpp"
 #include "mcb/signed_graph.hpp"
+#include "obs/metrics.hpp"
 #include "reduce/chains.hpp"
+#include "testing/depina.hpp"
 #include "testing/horton.hpp"
 
 namespace eardec::mcb {
@@ -25,6 +26,8 @@ namespace {
 namespace gen = graph::generators;
 using graph::Builder;
 using graph::Graph;
+using eardec::testing::depina_mcb;
+using eardec::testing::DePinaResult;
 using eardec::testing::horton_mcb;
 using eardec::testing::HortonResult;
 
@@ -293,17 +296,58 @@ INSTANTIATE_TEST_SUITE_P(Seeds, McbAgreementTest,
 
 class McbModeTest : public ::testing::TestWithParam<ExecutionMode> {};
 
+/// Witness-update work of the solves since process start, read from the
+/// mcb.gf2.* registry counters.
+std::array<std::uint64_t, 5> witness_update_work() {
+  auto& reg = obs::MetricsRegistry::instance();
+  return {reg.counter("mcb.gf2.dots").value(),
+          reg.counter("mcb.gf2.sparse_dots").value(),
+          reg.counter("mcb.gf2.rows_updated").value(),
+          reg.counter("mcb.gf2.words_xored").value(),
+          reg.counter("mcb.gf2.sparse_promotions").value()};
+}
+
+/// Runs one solve and returns its witness-update work (registry delta).
+std::array<std::uint64_t, 5> solve_counting_work(const Graph& g,
+                                                 const McbOptions& opts,
+                                                 McbResult& out) {
+  const auto before = witness_update_work();
+  out = minimum_cycle_basis(g, opts);
+  auto work = witness_update_work();
+  for (std::size_t k = 0; k < work.size(); ++k) work[k] -= before[k];
+  return work;
+}
+
 TEST_P(McbModeTest, AllExecutionModesAgree) {
-  Graph g = gen::subdivide(gen::random_biconnected(14, 26, 42), 20, 43);
-  const McbOptions opts{.mode = GetParam(),
-                        .cpu_threads = 3,
-                        .device = {.workers = 2, .warp_size = 8},
-                        .batch_size = 16};
-  const McbResult r = minimum_cycle_basis(g, opts);
-  const DePinaResult ref = depina_mcb(g);
-  EXPECT_NEAR(r.total_weight, ref.total_weight, 1e-6);
-  expect_valid_mcb(g, r);
-  EXPECT_EQ(r.stats.dimension, ref.basis.size());
+  // The second input has f = 71 witnesses (two-word rows). Every mode must
+  // do the same witness-update work as Sequential, counted by the mcb.gf2.*
+  // registry counters, and return the same basis.
+  const std::array<Graph, 2> inputs = {
+      gen::subdivide(gen::random_biconnected(14, 26, 42), 20, 43),
+      gen::random_biconnected(40, 110, 55)};
+  for (const Graph& g : inputs) {
+    const McbOptions opts{.mode = GetParam(),
+                          .cpu_threads = 3,
+                          .device = {.workers = 2, .warp_size = 8},
+                          .batch_size = 16};
+    McbOptions seq_opts = opts;
+    seq_opts.mode = ExecutionMode::Sequential;
+    McbResult r;
+    McbResult seq;
+    const auto work = solve_counting_work(g, opts, r);
+    const auto seq_work = solve_counting_work(g, seq_opts, seq);
+    const DePinaResult ref = depina_mcb(g);
+    EXPECT_NEAR(r.total_weight, ref.total_weight, 1e-6);
+    expect_valid_mcb(g, r);
+    EXPECT_EQ(r.stats.dimension, ref.basis.size());
+    EXPECT_EQ(work, seq_work) << "dots, sparse_dots, rows_updated, "
+                                 "words_xored, sparse_promotions";
+    EXPECT_GT(work[0], 0u);
+    ASSERT_EQ(r.basis.size(), seq.basis.size());
+    for (std::size_t i = 0; i < r.basis.size(); ++i) {
+      EXPECT_EQ(r.basis[i].edges, seq.basis[i].edges) << "cycle " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, McbModeTest,
@@ -479,8 +523,8 @@ namespace eardec::mcb {
 namespace {
 
 TEST(Mcb, DeviceBlockWitnessUpdatePathAtLargeDimension) {
-  // f = m - n + 1 = 71 >= 64 drives the witness update through the
-  // block-per-witness device kernel (pairwise product + tree XOR reduce).
+  // f = m - n + 1 = 71 witnesses, so every witness row spans two words;
+  // DeviceOnly must match Sequential there.
   const graph::Graph g = graph::generators::random_biconnected(40, 110, 55);
   const McbResult dev = minimum_cycle_basis(
       g, {.mode = ExecutionMode::DeviceOnly,

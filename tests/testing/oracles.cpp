@@ -11,10 +11,10 @@
 #include <random>
 
 #include "core/ear_apsp.hpp"
-#include "mcb/depina.hpp"
 #include "serve/oracle_server.hpp"
 #include "mcb/ear_mcb.hpp"
 #include "sssp/dijkstra.hpp"
+#include "testing/depina.hpp"
 #include "testing/floyd_warshall.hpp"
 #include "testing/horton.hpp"
 
@@ -136,7 +136,7 @@ CheckResult check_mcb_vs_depina(const Graph& g) {
   const auto with_ears = mcb::minimum_cycle_basis(
       g, {.mode = core::ExecutionMode::Sequential,
           .use_ear_decomposition = true});
-  const auto ref = mcb::depina_mcb(g);
+  const auto ref = depina_mcb(g);
   if (auto fail = compare_mcb(g, with_ears, ref.basis.size(),
                               ref.total_weight, "DePina")) {
     return fail;
@@ -160,8 +160,8 @@ CheckResult check_mcb_vs_depina(const Graph& g) {
 }
 
 CheckResult check_depina_vs_scalar_reference(const Graph& g) {
-  const auto ref = mcb::depina_mcb_reference(g);
-  const auto opt = mcb::depina_mcb(g);
+  const auto ref = depina_mcb_reference(g);
+  const auto opt = depina_mcb(g);
   if (opt.basis.size() != ref.basis.size()) {
     std::ostringstream msg;
     msg << "optimized De Pina dimension " << opt.basis.size()

@@ -9,9 +9,9 @@
 #include <stdexcept>
 
 #include "core/ear_apsp.hpp"
-#include "mcb/depina.hpp"
 #include "mcb/ear_mcb.hpp"
 #include "obs/metrics.hpp"
+#include "testing/depina.hpp"
 #include "testing/metamorphic.hpp"
 #include "testing/shrink.hpp"
 
@@ -122,7 +122,7 @@ mcb::McbOptions adversarial_mcb_options(std::uint64_t seed, int which) {
 }
 
 CheckResult check_scheduler_mcb(const Graph& g, std::uint64_t seed) {
-  const auto ref = mcb::depina_mcb(g);
+  const auto ref = depina_mcb(g);
   for (int which = 0; which < 4; ++which) {
     const auto options = adversarial_mcb_options(seed, which);
     const auto r = mcb::minimum_cycle_basis(g, options);

@@ -1,16 +1,13 @@
 // The bit-sliced GF(2) witness kernels vs the naive BitVector loop they
 // replaced: randomized batched dot/XOR equivalence, sparse<->dense
-// promotion round-trips, the word-range early-exit, and the device
-// block-XOR sweep (sync and async). Labelled `hetero` so CI's TSan job
-// watches the async CPU/device overlap path.
+// promotion round-trips and the word-range early-exit. Labelled `hetero`,
+// so CI's TSan job runs it next to the execution-mode suites.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <random>
 #include <vector>
 
-#include "hetero/device.hpp"
 #include "mcb/gf2.hpp"
 #include "mcb/witness_matrix.hpp"
 
@@ -198,67 +195,6 @@ TEST(WitnessMatrix, EmptyCycleVectorIsANoOp) {
   EXPECT_EQ(st.range_skips, 99u);
 }
 
-TEST(WitnessMatrix, DeviceSweepMatchesCpuSweep) {
-  std::mt19937_64 rng(17);
-  const std::size_t f = 170;
-  eardec::hetero::Device device({.workers = 2, .warp_size = 4});
-  WitnessMatrix dev_m(f);
-  ScalarModel model(f);
-  for (std::size_t i = 0; i + 1 < f; ++i) {
-    const auto ci = random_vector(f, 0.25, rng);
-    if (i + 2 < f) {
-      // Head row on the CPU, tail on the device — the heterogeneous split.
-      dev_m.orthogonalize(i, ci, i + 1, i + 2);
-      const auto st = dev_m.orthogonalize_device(i, ci, i + 2, f, device);
-      EXPECT_EQ(st.device_rows, f - i - 2);
-    } else {
-      dev_m.orthogonalize(i, ci, i + 1, f);
-    }
-    model.orthogonalize(i, ci, i + 1, f);
-  }
-  expect_rows_equal(dev_m, model, f);
-  EXPECT_GT(device.kernels_launched(), 0u);
-}
-
-TEST(WitnessMatrix, AsyncDeviceSweepJoinsWithSameResult) {
-  std::mt19937_64 rng(23);
-  const std::size_t f = 140;
-  eardec::hetero::Device device({.workers = 2, .warp_size = 8});
-  WitnessMatrix m(f);
-  ScalarModel model(f);
-  std::optional<WitnessMatrix::PendingDeviceUpdate> pending;
-  for (std::size_t i = 0; i + 1 < f; ++i) {
-    const auto ci = random_vector(f, 0.3, rng);
-    if (pending) pending->join();
-    pending.reset();
-    if (i + 2 < f) {
-      m.orthogonalize(i, ci, i + 1, i + 2);
-      pending = m.orthogonalize_device_async(i, ci, i + 2, f, device);
-    } else {
-      m.orthogonalize(i, ci, i + 1, f);
-    }
-    model.orthogonalize(i, ci, i + 1, f);
-  }
-  if (pending) pending->join();
-  expect_rows_equal(m, model, f);
-}
-
-TEST(WitnessMatrix, AsyncSweepOnOneWorkerDeviceDoesNotDeadlock) {
-  // The async driver occupies the device's only worker; the fan-out must
-  // degrade to a serial block loop instead of queueing helpers forever.
-  eardec::hetero::Device device({.workers = 1, .warp_size = 32});
-  const std::size_t f = 80;
-  WitnessMatrix m(f);
-  ScalarModel model(f);
-  BitVector ci(f);
-  for (std::size_t i = 0; i < f; i += 3) ci.set(i, true);
-  auto pending = m.orthogonalize_device_async(0, ci, 1, f, device);
-  const auto st = pending.join();
-  model.orthogonalize(0, ci, 1, f);
-  EXPECT_EQ(st.device_rows, f - 1);
-  expect_rows_equal(m, model, f);
-}
-
 TEST(WitnessMatrix, StatsAccumulate) {
   Gf2KernelStats a;
   a.dots = 3;
@@ -266,11 +202,11 @@ TEST(WitnessMatrix, StatsAccumulate) {
   a.promotions = 1;
   Gf2KernelStats b;
   b.dots = 2;
-  b.device_rows = 7;
+  b.cpu_rows = 7;
   a.accumulate(b);
   EXPECT_EQ(a.dots, 5u);
   EXPECT_EQ(a.words_xored, 10u);
-  EXPECT_EQ(a.device_rows, 7u);
+  EXPECT_EQ(a.cpu_rows, 7u);
   EXPECT_EQ(a.promotions, 1u);
 }
 

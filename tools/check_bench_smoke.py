@@ -27,9 +27,8 @@ import sys
 TABLE2_MODE_KEYS = ("sequential", "multicore", "device", "heterogeneous")
 TABLE2_TIMING_KEYS = ("with_ears_s", "without_ears_s")
 GF2_CELL_KEYS = (
-    "witnesses", "density", "impl", "device_threshold", "seconds",
+    "witnesses", "density", "impl", "seconds",
     "dots", "sparse_dots", "words_xored", "range_skips", "promotions",
-    "device_rows",
 )
 CHAIN_RICH = ("as-22july06", "c-50")
 
@@ -50,8 +49,8 @@ def load(path):
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{path}: {e}")
-    require(doc.get("schema_version") == 3,
-            f"{path}: schema_version missing or not 3")
+    require(doc.get("schema_version") == 4,
+            f"{path}: schema_version missing or not 4")
     require(isinstance(doc.get("git_sha"), str) and doc["git_sha"],
             f"{path}: git_sha missing")
     require("smoke" in doc, f"{path}: smoke flag missing")
@@ -89,7 +88,7 @@ def check_gf2(path):
         for key in GF2_CELL_KEYS:
             require(key in cell, f"{path}: cells[{i}].{key} missing")
         require(cell["seconds"] > 0, f"{path}: cells[{i}].seconds <= 0")
-        require(cell["impl"] in ("naive", "matrix_cpu", "matrix_device"),
+        require(cell["impl"] in ("naive", "matrix_cpu"),
                 f"{path}: cells[{i}].impl unknown: {cell['impl']}")
 
 

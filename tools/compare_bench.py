@@ -5,9 +5,10 @@ Usage: compare_bench.py <baseline.json> <candidate.json>
                         [--threshold 25%] [--min-seconds 0.002]
                         [--out delta.md]
 
-Both files must be schema-v3 snapshots of the *same* bench binary (the
-flattened metric keys must overlap). Every shared numeric metric is
-compared direction-aware:
+Both files must be schema-v3 or v4 snapshots of the *same* bench binary
+(the flattened metric keys must overlap). v4 changed only the mcb_gf2 cell
+keys, so a v3 baseline diffs against a v4 candidate over the shared keys.
+Every shared numeric metric is compared direction-aware:
 
   * time-like metrics ("seconds", "*_s", "*_ns", "mean_ns", quantiles)
     regress when the candidate is *higher* than baseline;
@@ -49,8 +50,8 @@ def load(path):
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         fail(f"{path}: {e}")
-    if doc.get("schema_version") != 3:
-        fail(f"{path}: not a schema-v3 bench snapshot "
+    if doc.get("schema_version") not in (3, 4):
+        fail(f"{path}: not a schema-v3/v4 bench snapshot "
              f"(schema_version={doc.get('schema_version')})")
     return doc
 

@@ -133,6 +133,12 @@ class CompareBenchTest(unittest.TestCase):
         r = run([], bad, good)
         self.assertEqual(r.returncode, 2)
 
+    def test_v3_baseline_compares_with_v4_candidate(self):
+        base = snapshot([{"method": "a", "seconds": 0.1}])
+        cand = dict(base, schema_version=4)
+        r = run(["--threshold", "25%"], base, cand)
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
     def test_rejects_disjoint_snapshots(self):
         a = snapshot([{"method": "a", "seconds": 0.1}])
         b = snapshot([{"kernel": "k", "other_s": 0.1}])
