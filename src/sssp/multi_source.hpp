@@ -4,17 +4,19 @@
 // instances are independent (Section 2.1.2); independence also means k
 // sources can share a single adjacency traversal. This kernel runs k
 // sources ("lanes") at once over one cache-resident workspace: distances
-// are stored lane-strided (dist[v * k + lane], a structure-of-arrays block
-// like the bit-sliced GF(2) witness matrix of the MCB overhaul), and every
-// CSR edge scan relaxes all k lanes in one pass, so the graph is streamed
-// once per frontier round instead of once per source. The lane loop is not
-// vectorized: GCC 12 at -O3 emits one scalar addsd + comisd and a
-// conditional branch per lane.
+// are stored lane-strided (dist[v * stride + lane], a structure-of-arrays
+// block like the bit-sliced GF(2) witness matrix of the MCB overhaul, with
+// the stride k rounded up to even), and every CSR edge scan relaxes all k
+// lanes in one pass, so the graph is streamed once per frontier round
+// instead of once per source. The lane loop is branch-free and written on
+// a two-lane GCC vector type: GCC 12 Release at the baseline x86-64 ISA
+// emits movupd, addpd, cmpltpd and an andpd/andnpd/orpd select per pair
+// of lanes.
 //
 // Algorithmically this is label-correcting (Bellman–Ford with a frontier
-// and per-vertex dirty-lane masks) rather than label-setting: more raw
-// relaxations than Dijkstra, each a scalar add+compare over the
-// contiguous lane block, and the frontier mask keeps rounds sparse.
+// and a per-vertex "queued" flag) rather than label-setting: more raw
+// relaxations than Dijkstra, each a vector add+compare over the
+// contiguous lane block, and the frontier keeps rounds sparse.
 // For non-negative weights every label-correcting fixpoint equals the
 // Dijkstra labels bit for bit (rounded addition is monotone, min is
 // exact), which the differential suite asserts across every property
@@ -34,7 +36,9 @@ using graph::Graph;
 using graph::VertexId;
 using graph::Weight;
 
-/// Upper bound on sources per batch: the dirty-lane mask is one uint64.
+/// Upper bound on sources per batch. It caps a vertex's lane block at
+/// 512 bytes (eight cache lines) and lets the range forms keep their lane
+/// table on the stack; Phase II splits wider units into several batches.
 inline constexpr std::uint32_t kMaxSourceLanes = 64;
 
 /// Reusable lane-strided workspace for APSP-style loops: runs batches of
@@ -87,8 +91,8 @@ class MultiSourceWorkspace {
 
   std::uint32_t lane_capacity_ = 0;
   std::uint32_t rounds_ = 0;
-  std::vector<Weight> dist_;            ///< n * lanes, lane-strided
-  std::vector<std::uint64_t> pending_;  ///< per-vertex dirty-lane mask
+  std::vector<Weight> dist_;          ///< n * stride, lane-strided
+  std::vector<std::uint8_t> queued_;  ///< per-vertex: awaits expansion
   std::vector<VertexId> frontier_;
   std::vector<VertexId> next_;
 };
