@@ -117,7 +117,7 @@ void LabelledTrees::relabel_tree(std::size_t t, const WitnessView& s) {
   }
 
   if (touched.empty()) {
-    // No crossing slot is set: every l_z is 0. Skip pass 2; is_odd reads
+    // No crossing slot is set: every l_z is 0. Skip pass 2; first_odd reads
     // the flag instead of the (stale) label array.
     all_zero_[t] = 1;
     return;
@@ -132,21 +132,6 @@ void LabelledTrees::relabel_tree(std::size_t t, const WitnessView& s) {
                    : static_cast<std::uint8_t>(label[p] ^ c[u]);
   }
   for (const VertexId u : touched) c[u] = 0;
-}
-
-bool LabelledTrees::is_odd(const McbCandidate& cand,
-                           const WitnessView& s) const {
-  unsigned parity = 0;
-  if (!all_zero_[cand.tree]) {
-    const std::uint8_t* label =
-        labels_.data() +
-        cand.tree * static_cast<std::size_t>(g_.num_vertices());
-    parity = static_cast<unsigned>(label[cand.u] ^ label[cand.v]);
-  }
-  if (cand.sign_index != kNotNonTree) {
-    parity ^= static_cast<unsigned>(s.get(cand.sign_index));
-  }
-  return (parity & 1u) != 0;
 }
 
 std::size_t LabelledTrees::first_odd(const std::uint32_t* ids,

@@ -67,15 +67,12 @@ class LabelledTrees {
   /// passes). Each tree is independent — callers parallelize over trees.
   void relabel_tree(std::size_t t, const WitnessView& s);
 
-  /// O(1) orthogonality test of candidate `c` against the witness used in
-  /// the last relabel of c's tree.
-  [[nodiscard]] bool is_odd(const McbCandidate& c, const WitnessView& s) const;
-
   /// Batched serial scan: the position in `ids` of the first candidate that
-  /// is odd against S, or `count` when none is. One tight loop with the
-  /// label base and witness words hoisted out — the fast path of the search
-  /// phase, which exits mid-batch on the first hit instead of evaluating
-  /// the whole batch.
+  /// is odd against S (O(1) each: l_z(u) ^ l_z(v) ^ S(e), against the
+  /// witness of the last relabel of the candidate's tree), or `count` when
+  /// none is. One tight loop with the label base and witness words hoisted
+  /// out; the search phase runs it in every mode and exits mid-batch on
+  /// the first hit.
   [[nodiscard]] std::size_t first_odd(const std::uint32_t* ids,
                                       std::size_t count,
                                       const WitnessView& s) const;
