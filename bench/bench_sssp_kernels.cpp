@@ -9,8 +9,11 @@
 // throughput and the multi-source frontier-round counts. This is the
 // evidence behind phase II's per-unit kernel thresholds (docs/sssp_perf.md)
 // — the batched kernel must beat per-source Dijkstra from k >= 4 on the
-// large reduced components. `--smoke` shrinks the sweep for the CI gate
-// (tools/check_bench_smoke.py validates the snapshot's shape).
+// large reduced components. The snapshot's cells are too coarse for the
+// small components those thresholds sit at, so the BM_Crossover* pairs time
+// single units there (`--benchmark_filter=Crossover`). `--smoke` shrinks
+// the sweep for the CI gate (tools/check_bench_smoke.py validates the
+// snapshot's shape) and runs no google-benchmark timings.
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -108,12 +111,62 @@ void BM_DeltaSteppingSweep(benchmark::State& state) {
   }
 }
 
+// Crossover of phase II's per-unit kernel rule (docs/sssp_perf.md): one
+// unit of k sources on a component of n vertices, each source's row kept as
+// its TriangleMatrix head, as phase II stores it. Compare items_per_second
+// (sources per second) of the two kernels cell by cell.
+graph::Graph crossover_graph(const benchmark::State& state) {
+  const auto n = static_cast<graph::VertexId>(state.range(0));
+  return graph::generators::random_biconnected(n, n * 2 + n / 2, 9);
+}
+
+void BM_CrossoverDijkstra(benchmark::State& state) {
+  const graph::Graph g = crossover_graph(state);
+  const graph::VertexId n = g.num_vertices();
+  const auto k = static_cast<graph::VertexId>(state.range(1));
+  sssp::DijkstraWorkspace ws(n);
+  std::vector<graph::Weight> row(n);
+  sssp::TriangleMatrix out(n);
+  for (auto _ : state) {
+    for (graph::VertexId s = 0; s < k; ++s) {
+      ws.distances(g, s, row);
+      const std::span<graph::Weight> head = out.head(s);
+      std::copy_n(row.begin(), head.size(), head.begin());
+    }
+    benchmark::DoNotOptimize(out.head(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+
+void BM_CrossoverMultiSource(benchmark::State& state) {
+  const graph::Graph g = crossover_graph(state);
+  const graph::VertexId n = g.num_vertices();
+  const auto k = static_cast<graph::VertexId>(state.range(1));
+  sssp::MultiSourceWorkspace ws(n, k);
+  sssp::TriangleMatrix out(n);
+  for (auto _ : state) {
+    ws.distances(g, 0, k, out);
+    benchmark::DoNotOptimize(out.head(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+
+void crossover_cells(benchmark::internal::Benchmark* b) {
+  for (const int n : {8, 12, 16, 24, 32, 48, 96, 330}) {
+    for (const int k : {1, 2, 3, 4, 8, 16}) {
+      if (k <= n) b->Args({n, k});
+    }
+  }
+}
+
 BENCHMARK(BM_DijkstraSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultiSourceSweep)->Arg(4)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FrontierSweep)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_DeltaSteppingSweep)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CrossoverDijkstra)->Apply(crossover_cells);
+BENCHMARK(BM_CrossoverMultiSource)->Apply(crossover_cells);
 
 // ---------------------------------------------------------------------------
 // JSON ablation: kernel x batch width x reduced-component size.

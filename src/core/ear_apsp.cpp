@@ -16,10 +16,11 @@
 namespace eardec::core {
 namespace {
 
-/// Phase-II CPU kernel choice: the multi-source lane block only amortizes
-/// the CSR traversal when the unit is wide enough and the component large
-/// enough for the extra label-correcting relaxations to be repaid; below
-/// these the binary heap wins and the unit runs per-source Dijkstra.
+/// Phase-II CPU kernel choice: units at least this wide on components at
+/// least this large run the multi-source lane block, the rest per-source
+/// Dijkstra. The batched kernel measures ahead from these up (the
+/// BM_Crossover* cells of bench_sssp_kernels); below them the two are
+/// mixed (docs/sssp_perf.md).
 constexpr VertexId kMultiSourceMinLanes = 4;
 constexpr VertexId kMultiSourceMinVertices = 24;
 
