@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,10 +19,12 @@ using LanePair = Weight __attribute__((vector_size(2 * sizeof(Weight))));
 using LaneMask = decltype(LanePair{} < LanePair{});
 constexpr std::uint32_t kPairWidth = 2;
 
-/// The lane block's stride for a batch of k sources: k rounded up to whole
-/// lane pairs. The extra lane holds +inf at every vertex.
+/// The lane block's stride for a batch of k sources: k rounded up to a
+/// power of two, at least one lane pair. The round loop is compiled once per
+/// such stride (2, 4, ..., kMaxSourceLanes); the extra lanes hold +inf at
+/// every vertex.
 std::uint32_t padded_stride(std::uint32_t k) {
-  return (k + kPairWidth - 1) / kPairWidth * kPairWidth;
+  return std::max(kPairWidth, std::bit_ceil(k));
 }
 
 // Unaligned, alias-safe lane access: each memcpy compiles to one unaligned
@@ -34,6 +37,58 @@ LanePair load_pair(const Weight* p) {
 
 void store_pair(Weight* p, LanePair x) { std::memcpy(p, &x, sizeof x); }
 
+/// Frontier rounds of one batch on a lane block of `Stride` lanes per
+/// vertex, from `count` queued vertices in `frontier`; returns the rounds.
+/// `Stride` is a compile-time constant, so the lane loop has a fixed trip
+/// count that the compiler can unroll.
+/// The buffers arrive as raw pointers: a byte store through `queued` may
+/// alias anything, so members read through `this` would be reloaded after
+/// every flag update.
+template <std::uint32_t Stride>
+std::uint32_t relax_rounds(const Graph& g, Weight* dist, std::uint8_t* queued,
+                           VertexId* frontier, VertexId count,
+                           VertexId* next) {
+  std::uint32_t rounds = 0;
+  while (count != 0) {
+    ++rounds;
+    VertexId queued_next = 0;
+    for (VertexId i = 0; i < count; ++i) {
+      const VertexId v = frontier[i];
+      queued[v] = 0;
+      const Weight* dv = dist + static_cast<std::size_t>(v) * Stride;
+      for (const graph::HalfEdge& he : g.neighbors(v)) {
+        const LanePair w = {he.weight, he.weight};
+        Weight* dt = dist + static_cast<std::size_t>(he.to) * Stride;
+        // Relax every lane unconditionally and without a branch: the same
+        // rounded add and exact min as a per-lane `if (nd < dt[lane])`, so
+        // the labels are bit-identical. Relaxation is idempotent, so clean
+        // lanes cost only the flops. One mask per edge collects whether any
+        // lane improved.
+        LaneMask improved{};
+        for (std::uint32_t lane = 0; lane < Stride; lane += kPairWidth) {
+          const LanePair nd = load_pair(dv + lane) + w;
+          const LanePair od = load_pair(dt + lane);
+          const auto lt = nd < od;
+          store_pair(dt + lane, lt ? nd : od);
+          improved |= lt;
+        }
+        // Enqueue without a branch: the slot past the queue's end always
+        // takes he.to, and the count only moves over it when some lane
+        // improved a vertex not yet queued. The queue holds the same
+        // vertices in the same order as a conditional push_back.
+        const auto add = static_cast<std::uint8_t>(
+            ((improved[0] | improved[1]) != 0) & (queued[he.to] == 0));
+        next[queued_next] = he.to;
+        queued_next += add;
+        queued[he.to] |= add;
+      }
+    }
+    std::swap(frontier, next);
+    count = queued_next;
+  }
+  return rounds;
+}
+
 }  // namespace
 
 void MultiSourceWorkspace::ensure(VertexId num_vertices, std::uint32_t lanes) {
@@ -45,8 +100,12 @@ void MultiSourceWorkspace::ensure(VertexId num_vertices, std::uint32_t lanes) {
       static_cast<std::size_t>(num_vertices) * padded_stride(lane_capacity_);
   if (dist_.size() < want) dist_.resize(want);
   if (queued_.size() < num_vertices) queued_.resize(num_vertices);
-  frontier_.reserve(num_vertices);
-  next_.reserve(num_vertices);
+  // The queues swap roles every round, and the round loop stores one slot
+  // past the last queued vertex: n + 1 slots each.
+  if (frontier_.size() <= num_vertices) {
+    frontier_.resize(static_cast<std::size_t>(num_vertices) + 1);
+    next_.resize(static_cast<std::size_t>(num_vertices) + 1);
+  }
 }
 
 namespace {
@@ -125,7 +184,7 @@ bool MultiSourceWorkspace::relax(const Graph& g,
     if (s >= n) throw std::out_of_range("MultiSourceWorkspace: bad source");
   }
   const std::uint32_t stride = padded_stride(k);
-  if (k > lane_capacity_ || queued_.size() < n ||
+  if (k > lane_capacity_ || queued_.size() < n || frontier_.size() <= n ||
       dist_.size() < static_cast<std::size_t>(n) * stride) {
     throw std::invalid_argument(
         "MultiSourceWorkspace: ensure() capacity too small for this batch");
@@ -137,51 +196,42 @@ bool MultiSourceWorkspace::relax(const Graph& g,
   // Lane-strided init: lane L holds source sources[L]. The block is laid
   // out with the batch's own padded stride (not the capacity's) so one
   // frontier round touches the densest possible cache lines for this
-  // batch width. The padding lane stays +inf: +inf plus any weight is
-  // +inf, which is never below +inf, so it never relaxes.
-  std::fill(dist_.begin(),
-            dist_.begin() + static_cast<std::ptrdiff_t>(n) * stride,
-            graph::kInfWeight);
-  std::fill(queued_.begin(), queued_.begin() + n, std::uint8_t{0});
-  frontier_.clear();
-  next_.clear();
+  // batch width. The padding lanes stay +inf: +inf plus any weight is
+  // +inf, which is never below +inf, so they never relax.
+  Weight* const dist = dist_.data();
+  std::uint8_t* const queued = queued_.data();
+  VertexId* const frontier = frontier_.data();
+  std::fill_n(dist, static_cast<std::size_t>(n) * stride, graph::kInfWeight);
+  std::fill_n(queued, n, std::uint8_t{0});
+  VertexId count = 0;
   for (std::uint32_t lane = 0; lane < k; ++lane) {
     const VertexId s = sources[lane];
-    dist_[static_cast<std::size_t>(s) * stride + lane] = 0;
-    if (queued_[s] == 0) frontier_.push_back(s);
-    queued_[s] = 1;
+    dist[static_cast<std::size_t>(s) * stride + lane] = 0;
+    if (queued[s] == 0) frontier[count++] = s;
+    queued[s] = 1;
   }
 
-  rounds_ = 0;
-  while (!frontier_.empty()) {
-    ++rounds_;
-    for (const VertexId v : frontier_) {
-      queued_[v] = 0;
-      const Weight* dv = dist_.data() + static_cast<std::size_t>(v) * stride;
-      for (const graph::HalfEdge& he : g.neighbors(v)) {
-        const LanePair w = {he.weight, he.weight};
-        Weight* dt = dist_.data() + static_cast<std::size_t>(he.to) * stride;
-        // Relax every lane unconditionally and without a branch: the same
-        // rounded add and exact min as a per-lane `if (nd < dt[lane])`, so
-        // the labels are bit-identical. Relaxation is idempotent, so clean
-        // lanes cost only the flops. One mask per edge collects whether any
-        // lane improved.
-        LaneMask improved{};
-        for (std::uint32_t lane = 0; lane < stride; lane += kPairWidth) {
-          const LanePair nd = load_pair(dv + lane) + w;
-          const LanePair od = load_pair(dt + lane);
-          const auto lt = nd < od;
-          store_pair(dt + lane, lt ? nd : od);
-          improved |= lt;
-        }
-        if ((improved[0] | improved[1]) != 0 && queued_[he.to] == 0) {
-          queued_[he.to] = 1;
-          next_.push_back(he.to);
-        }
-      }
-    }
-    frontier_.swap(next_);
-    next_.clear();
+  VertexId* const next = next_.data();
+  switch (stride) {
+    case 2:
+      rounds_ = relax_rounds<2>(g, dist, queued, frontier, count, next);
+      break;
+    case 4:
+      rounds_ = relax_rounds<4>(g, dist, queued, frontier, count, next);
+      break;
+    case 8:
+      rounds_ = relax_rounds<8>(g, dist, queued, frontier, count, next);
+      break;
+    case 16:
+      rounds_ = relax_rounds<16>(g, dist, queued, frontier, count, next);
+      break;
+    case 32:
+      rounds_ = relax_rounds<32>(g, dist, queued, frontier, count, next);
+      break;
+    default:
+      static_assert(kMaxSourceLanes == 64);
+      rounds_ = relax_rounds<64>(g, dist, queued, frontier, count, next);
+      break;
   }
 
   return true;

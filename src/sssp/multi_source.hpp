@@ -6,12 +6,16 @@
 // sources ("lanes") at once over one cache-resident workspace: distances
 // are stored lane-strided (dist[v * stride + lane], a structure-of-arrays
 // block like the bit-sliced GF(2) witness matrix of the MCB overhaul, with
-// the stride k rounded up to even), and every CSR edge scan relaxes all k
-// lanes in one pass, so the graph is streamed once per frontier round
-// instead of once per source. The lane loop is branch-free and written on
-// a two-lane GCC vector type: GCC 12 Release at the baseline x86-64 ISA
-// emits movupd, addpd, cmpltpd and an andpd/andnpd/orpd select per pair
-// of lanes.
+// the stride k rounded up to a power of two, at least 2), and every CSR
+// edge scan relaxes all k lanes in one pass, so the graph is streamed once
+// per frontier round instead of once per source. The round loop is one
+// template over the stride, instantiated for 2, 4, ..., 64, so its lane
+// loop has a compile-time trip count. The lane loop is branch-free and
+// written on a two-lane GCC vector type: GCC 12 Release at the baseline
+// x86-64 ISA emits movupd, addpd, cmpltpd and an andpd/andnpd/orpd select
+// per pair of lanes. Enqueuing a relaxed vertex is branch-free too: its id
+// is always stored one past the next frontier's end, and the count moves
+// over it only when a lane improved a vertex not yet queued.
 //
 // Algorithmically this is label-correcting (Bellman–Ford with a frontier
 // and a per-vertex "queued" flag) rather than label-setting: more raw
@@ -93,6 +97,8 @@ class MultiSourceWorkspace {
   std::uint32_t rounds_ = 0;
   std::vector<Weight> dist_;          ///< n * stride, lane-strided
   std::vector<std::uint8_t> queued_;  ///< per-vertex: awaits expansion
+  /// The current and next frontier, n + 1 slots each: the round loop
+  /// stores one id past the last queued vertex.
   std::vector<VertexId> frontier_;
   std::vector<VertexId> next_;
 };

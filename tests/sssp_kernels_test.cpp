@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cfloat>
+#include <numeric>
 #include <string>
 #include <tuple>
 
@@ -352,6 +353,79 @@ TEST(MultiSource, FrontierRoundsOnAFixedGraph) {
   DistanceMatrix xout(x.num_vertices());
   wx.distances(x, 20, 35, xout);
   EXPECT_EQ(wx.last_rounds(), 15u);
+}
+
+TEST(MultiSource, EveryWidthMatchesDijkstraInBothForms) {
+  // The round loop is compiled once per padded stride (2, 4, ..., 64), so
+  // every width from 1 to 64 crosses each power-of-two boundary on both
+  // sides. Each batch is exactly k wide: the arbitrary-source form takes k
+  // consecutive entries of a scrambled source order (wrapping around), the
+  // triangle form the range [min(s, n - k), +k).
+  const Graph g = extreme_weight_graph();
+  const graph::VertexId n = g.num_vertices();
+  ASSERT_GT(n, kMaxSourceLanes);
+  std::vector<std::vector<graph::Weight>> ref;
+  for (graph::VertexId s = 0; s < n; ++s) ref.push_back(dijkstra(g, s).dist);
+  graph::VertexId step = 29;
+  while (std::gcd(step, n) != 1) ++step;
+  MultiSourceWorkspace ws;
+  for (std::uint32_t k = 1; k <= kMaxSourceLanes; ++k) {
+    ws.ensure(n, k);
+    DistanceMatrix out(n);
+    TriangleMatrix tri(n);
+    for (graph::VertexId s = 0; s < n; s += k) {
+      std::vector<graph::VertexId> sources;
+      for (std::uint32_t lane = 0; lane < k; ++lane) {
+        sources.push_back(static_cast<graph::VertexId>(
+            (static_cast<std::uint64_t>(s + lane) % n) * step % n));
+      }
+      ws.distances(g, sources, out);
+      const graph::VertexId begin = std::min<graph::VertexId>(s, n - k);
+      ws.distances(g, begin, begin + k, tri);
+    }
+    for (graph::VertexId s = 0; s < n; ++s) {
+      for (graph::VertexId v = 0; v < n; ++v) {
+        ASSERT_EQ(out.at(s, v), ref[s][v])
+            << "k=" << k << " source " << s << " vertex " << v;
+        if (v <= s) {
+          ASSERT_EQ(tri.head(s)[v], ref[s][v])
+              << "triangle k=" << k << " source " << s << " vertex " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(MultiSource, ARoundThatQueuesEveryOtherVertexStaysInBounds) {
+  // The round loop stores each scanned vertex one slot past the next
+  // frontier's end before deciding whether to count it. A round can queue
+  // every vertex but the last one it expands (only that vertex's own scan
+  // could improve it, and weights are non-negative), so the store reaches
+  // index n - 1. Here the center of a star is the only frontier vertex and
+  // every leaf hangs on two parallel edges: the center's last scan revisits
+  // a leaf after all n - 1 leaves are queued. The workspace is ensured to
+  // exactly this graph, so its queues are as short as ensure() makes them
+  // and a store past them leaves the allocation (the asan preset reports
+  // it).
+  const graph::VertexId n = 40;
+  Builder b(n);
+  for (graph::VertexId leaf = 1; leaf < n; ++leaf) {
+    b.add_edge(0, leaf, 2.0 + leaf);
+    b.add_edge(leaf, 0, 1.0 + leaf);
+  }
+  const Graph g = std::move(b).build();
+  for (const std::uint32_t k : {1u, 2u, 16u, kMaxSourceLanes}) {
+    MultiSourceWorkspace ws(n, k);
+    DistanceMatrix out(n);
+    const std::vector<graph::VertexId> sources(k, 0);
+    ws.distances(g, sources, out);
+    // Round 1 queues every leaf; round 2 expands them and queues nothing.
+    EXPECT_EQ(ws.last_rounds(), 2u) << "k=" << k;
+    const auto ref = dijkstra(g, 0);
+    for (graph::VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(out.at(0, v), ref.dist[v]) << "k=" << k << " vertex " << v;
+    }
+  }
 }
 
 }  // namespace
